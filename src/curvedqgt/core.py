@@ -14,6 +14,8 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -34,6 +36,7 @@ __all__ = [
     "EngineWarning",
     "ImaginaryResidueWarning",
     "LinearTermWarning",
+    "LruCache",
     "ParameterPoint",
     "MetricFamily",
     "WavefunctionFamily",
@@ -144,6 +147,45 @@ class ImaginaryResidueWarning(EngineWarning):
 
 class LinearTermWarning(EngineWarning):
     """The fidelity expansion showed a non-vanishing linear term."""
+
+
+# ---------------------------------------------------------------------------
+# Bounded memoization
+# ---------------------------------------------------------------------------
+
+class LruCache:
+    """Memoized values, at most ``capacity`` of them; guarded by a lock.
+
+    Hits return the identical stored object and the least recently used
+    entry is evicted first.  ``compute`` runs outside the lock, so two
+    threads missing on one key may both compute; the first value stored
+    is the one every caller gets.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._store = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def get_or_compute(self, key, compute: Callable):
+        with self._lock:
+            if key in self._store:
+                self.hits += 1
+                self._store.move_to_end(key)
+                return self._store[key]
+        value = compute()
+        with self._lock:
+            self.misses += 1
+            value = self._store.setdefault(key, value)
+            self._store.move_to_end(key)
+            while len(self._store) > self.capacity:
+                self._store.popitem(last=False)
+            return value
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +394,10 @@ class GeometricTensors:
     ``qgt`` is the complex Hermitian tensor; ``qmt`` its real symmetric
     part; ``berry_curvature`` the antisymmetric curvature F with
     F = 2 Im(qgt); ``berry_connection`` the real connection vector.
-    ``quad_error`` sums the quadrature error estimates of every bracket
-    that entered the assembly and ``fd_steps`` records the parameter
-    steps used for derivatives.
+    ``quad_error`` sums the entrywise quadrature error estimates (the
+    change over the last level) of the Gram matrix that holds every
+    bracket of the assembly, and ``fd_steps`` records the parameter steps
+    used for derivatives.
     """
 
     qgt: np.ndarray
@@ -365,7 +408,7 @@ class GeometricTensors:
     fd_steps: np.ndarray
 
     def tolerance(self, floor: float = 1e-10) -> float:
-        """Assertion tolerance policy: 10x summed bracket error, floored."""
+        """Assertion tolerance policy: 10x summed Gram error, floored."""
         return max(floor, 10.0 * self.quad_error)
 
     def invariant_residues(self) -> dict:

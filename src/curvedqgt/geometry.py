@@ -12,11 +12,16 @@ bracket family entering the tensors is
     B[r,k] = <psi | sigma_r | d_k psi>  s[r] = <sigma_r>
     S[r,k] = <sigma_r sigma_k>
 
-where sigma_r = -d ln det g / d lambda_r.  The quantum geometric tensor is
-assembled from its expanded bracket formula (each bracket one quadrature,
-sigma factors kept inside the integrand since they may depend on x); the
-projector form <d_r(g^(1/4)psi)| P |d_k(g^(1/4)psi)> is retained as an
-independent test oracle.  Conventions:
+where sigma_r = -d ln det g / d lambda_r.  All of them, and the norm, are
+blocks of one Gram matrix: the columns
+U = [psi, d_1 psi .. d_m psi, sigma_1 psi .. sigma_m psi] are sampled once
+per quadrature node and contracted as U^H diag(sqrt(g) w) U, so a point
+costs one pass over the nodes however many brackets it needs, and the
+sigma factors, which may depend on x, stay inside the integrand.  Each
+entry's error is its change over the last quadrature level.  The quantum
+geometric tensor comes from one assembly formula; the projector form
+<d_r(g^(1/4)psi)| P |d_k(g^(1/4)psi)> is kept as a test oracle with a Gram
+of its own columns v_r = d_r psi - sigma_r psi / 4.  Conventions:
 
     qmt              = Re(qgt)                  (symmetric)
     berry_curvature  = 2 Im(qgt) = d beta       (antisymmetric)
@@ -25,7 +30,6 @@ independent test oracle.  Conventions:
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -37,13 +41,14 @@ from .core import (
     EngineError,
     GeometricTensors,
     ImaginaryResidueWarning,
+    LruCache,
     MetricFamily,
     WavefunctionFamily,
     as_quantum_number,
     param_values,
 )
 from .diffops import FdConfig, d_log_det_g, d_psi
-from .quadrature import QuadratureConfig, integrate, integrate_2d_product
+from .quadrature import GramColumns, QuadratureConfig, integrate, integrate_2d_product
 
 __all__ = [
     "EngineConfig",
@@ -53,7 +58,6 @@ __all__ = [
     "inner_product",
     "sigma_expectation",
     "berry_connection",
-    "gamma_tensor",
     "qmt",
     "berry_curvature",
     "qgt",
@@ -64,6 +68,9 @@ __all__ = [
     "connection_transform_report",
 ]
 
+# Gram matrices an engine keeps; a Berry loop visits each point only once
+BRACKET_CACHE_SIZE = 64
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -73,25 +80,11 @@ class EngineConfig:
     connection_residue_warn: float = 1e-6
 
 
-class BracketCache:
-    """Memoized curved brackets; hits return the identical stored value."""
+class BracketCache(LruCache):
+    """The ``BRACKET_CACHE_SIZE`` most recently used Gram matrices."""
 
     def __init__(self):
-        self._store = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_compute(self, key, compute: Callable):
-        with self._lock:
-            if key in self._store:
-                self.hits += 1
-                return self._store[key]
-        value = compute()
-        with self._lock:
-            self._store.setdefault(key, value)
-            self.misses += 1
-            return self._store[key]
+        super().__init__(BRACKET_CACHE_SIZE)
 
 
 def state_of(psi: WavefunctionFamily, n) -> Callable:
@@ -111,8 +104,8 @@ def state_of(psi: WavefunctionFamily, n) -> Callable:
 class GeometryEngine:
     """Assembles geometric tensors for one (state family, metric, domain).
 
-    Pure given its inputs; the bracket cache is per-engine and guarded, so
-    an engine may be shared across threads.
+    Pure given its inputs; the bracket cache is per-engine, bounded and
+    guarded, so an engine may be shared across threads.
     """
 
     def __init__(self, psi: WavefunctionFamily, metric: MetricFamily,
@@ -137,116 +130,77 @@ class GeometryEngine:
             f, self.domain.axes[0], self.domain.axes[1], self.cfg.quad
         )
 
-    def _weight(self, lamv):
-        metric = self.metric
-        return lambda *axes: metric.sqrt_det(lamv, *axes)
+    def _sample(self, lamv, n, axes):
+        """psi, [d_r psi] and [sigma_r] for r = 1..m at the given nodes."""
+        fd, in_domain = self.cfg.fd, self.in_domain
+        psi = np.asarray(self.psi.eval(lamv, n, *axes))
+        dpsi = [d_psi(self.psi, n, lamv, r, fd, *axes, in_domain=in_domain)
+                for r in range(lamv.size)]
+        sigma = [-d_log_det_g(self.metric, lamv, r, fd, *axes, in_domain=in_domain)
+                 for r in range(lamv.size)]
+        return psi, dpsi, sigma
 
-    def _state(self, lamv, n):
-        psi = self.psi
-        return lambda *axes: np.asarray(psi.eval(lamv, n, *axes))
-
-    def _dstate(self, lamv, n, rho):
-        return lambda *axes: np.asarray(
-            d_psi(self.psi, n, lamv, rho, self.cfg.fd, *axes,
-                  in_domain=self.in_domain)
-        )
-
-    def _sigma(self, lamv, rho):
-        return lambda *axes: -np.asarray(
-            d_log_det_g(self.metric, lamv, rho, self.cfg.fd, *axes,
-                        in_domain=self.in_domain)
-        )
-
-    def _key(self, name, lamv, n, extra=()):
-        return (name, lamv.tobytes(), tuple(n), tuple(extra),
+    def _key(self, name, lamv, n):
+        return (name, lamv.tobytes(), tuple(n),
                 self.cfg.quad.rel_tol, self.cfg.quad.abs_tol,
                 self.cfg.fd.base_step, self.cfg.fd.scheme)
 
-    def bracket(self, name, lamv, n, bra=None, ket=None, sigmas=(), extra=()):
-        """One curved bracket with the given bra/ket and sigma insertions."""
-        w = self._weight(lamv)
+    def bracket(self, name, lamv, n, columns):
+        """Gram matrix of column functions at one point: (value, error).
+
+        ``columns(*axes)`` returns k column values at the quadrature nodes.
+        Entry [a, b] of the value is <U_a|U_b> = integral sqrt(g) conj(U_a) U_b,
+        and the error matrix holds each entry's change over the last
+        quadrature level.  Both are read-only and cached under
+        (name, point, n, tolerances).
+        """
+        metric = self.metric
+
+        def integrand(*axes):
+            cols = np.stack(np.broadcast_arrays(*columns(*axes)))
+            return (cols * np.sqrt(metric.sqrt_det(lamv, *axes))).view(GramColumns)
 
         def compute():
-            def f(*axes):
-                val = w(*axes).astype(complex)
-                if bra is not None:
-                    val = val * np.conj(bra(*axes))
-                for s in sigmas:
-                    val = val * s(*axes)
-                if ket is not None:
-                    val = val * ket(*axes)
-                return val
+            gram, err = self._integrate(integrand)
+            gram.flags.writeable = False
+            err.flags.writeable = False
+            return gram, err
 
-            return self._integrate(f)
-
-        return self.cache.get_or_compute(
-            self._key(name, lamv, n, extra), compute
-        )
+        return self.cache.get_or_compute(self._key(name, lamv, n), compute)
 
     # -- bracket families ---------------------------------------------------
 
     def bracket_set(self, lam, n):
         """All brackets entering the tensors at one parameter point.
 
-        Every entry is computed independently (no Hermitian shortcut), so
-        the Hermiticity residue of the assembled tensor is a genuine
-        measure of quadrature and differentiation imbalance.
+        They are read-only blocks of one cached Gram matrix of the columns
+        [psi, d_1 psi .. d_m psi, sigma_1 psi .. sigma_m psi], integrated on
+        shared nodes.  ``gram_err`` holds the error of each Gram entry and
+        ``err`` their sum.
         """
         lamv = param_values(lam)
         n = as_quantum_number(n)
         m = lamv.size
-        psi0 = self._state(lamv, n)
-        dpsi = [self._dstate(lamv, n, r) for r in range(m)]
-        sig = [self._sigma(lamv, r) for r in range(m)]
 
-        A = np.zeros((m, m), dtype=complex)
-        B = np.zeros((m, m), dtype=complex)
-        S = np.zeros((m, m))
-        c = np.zeros(m, dtype=complex)
-        s = np.zeros(m)
-        err = 0.0
-        for r in range(m):
-            val, e = self.bracket("c", lamv, n, bra=psi0, ket=dpsi[r], extra=(r,))
-            c[r] = val
-            err += e
-            val, e = self.bracket("s", lamv, n, bra=psi0, ket=psi0,
-                                  sigmas=(sig[r],), extra=(r,))
-            s[r] = val.real
-            err += e
-            for k in range(m):
-                val, e = self.bracket("A", lamv, n, bra=dpsi[r], ket=dpsi[k],
-                                      extra=(r, k))
-                A[r, k] = val
-                err += e
-                val, e = self.bracket("B", lamv, n, bra=psi0, ket=dpsi[k],
-                                      sigmas=(sig[r],), extra=(r, k))
-                B[r, k] = val
-                err += e
-            for k in range(r, m):
-                val, e = self.bracket("S", lamv, n, bra=psi0, ket=psi0,
-                                      sigmas=(sig[r], sig[k]), extra=(r, k))
-                S[r, k] = S[k, r] = val.real
-                err += e
+        def columns(*axes):
+            psi, dpsi, sigma = self._sample(lamv, n, axes)
+            return [psi, *dpsi, *(s * psi for s in sigma)]
+
+        gram, err = self.bracket("family", lamv, n, columns)
+        d, s = slice(1, m + 1), slice(m + 1, 2 * m + 1)
         steps = np.array([self.cfg.fd.step(v) for v in lamv])
-        return {"A": A, "B": B, "S": S, "c": c, "s": s,
-                "err": err, "fd_steps": steps}
+        return {"A": gram[d, d], "B": gram[s, d], "S": gram[s, s].real,
+                "c": gram[0, d], "s": gram[0, s].real, "norm": float(gram[0, 0].real),
+                "err": float(err.sum()), "gram_err": err, "fd_steps": steps}
 
     # -- assembled quantities ------------------------------------------------
 
     def norm(self, lam, n):
-        lamv = param_values(lam)
-        n = as_quantum_number(n)
-        psi0 = self._state(lamv, n)
-        val, e = self.bracket("norm", lamv, n, bra=psi0, ket=psi0)
-        return val.real, e
+        br = self.bracket_set(lam, n)
+        return br["norm"], float(br["gram_err"][0, 0])
 
     def sigma_expectation(self, lam, n, rho):
-        lamv = param_values(lam)
-        n = as_quantum_number(n)
-        psi0 = self._state(lamv, n)
-        val, _ = self.bracket("s", lamv, n, bra=psi0, ket=psi0,
-                              sigmas=(self._sigma(lamv, rho),), extra=(rho,))
-        return float(val.real)
+        return float(self.bracket_set(lam, n)["s"][rho])
 
     def berry_connection(self, lam, n):
         br = self.bracket_set(lam, n)
@@ -268,31 +222,10 @@ class GeometryEngine:
         return out.real
 
     def qmt(self, lam, n):
-        br = self.bracket_set(lam, n)
-        return self._qmt_from(br)
-
-    @staticmethod
-    def _qmt_from(br):
-        A, B, S, c, s = br["A"], br["B"], br["S"], br["c"], br["s"]
-        cbar = np.conj(c)
-        out = 0.5 * (A + A.T)
-        out -= 0.5 * (np.outer(cbar, c) + np.outer(c, cbar))
-        out -= 0.125 * (B + B.T)
-        out -= 0.125 * np.conj(B + B.T)
-        out += 0.125 * (np.outer(s, c) + np.outer(c, s))
-        out += 0.125 * (np.outer(s, cbar) + np.outer(cbar, s))
-        out += (S - np.outer(s, s)) / 16.0
-        return out.real
+        return self.qgt(lam, n).qmt
 
     def berry_curvature(self, lam, n):
-        br = self.bracket_set(lam, n)
-        return self._curvature_from(br)
-
-    @staticmethod
-    def _curvature_from(br):
-        A, B = br["A"], br["B"]
-        out = -1j * (A - A.T) + 0.25j * (B - B.T) + 0.25j * np.conj(B.T - B)
-        return out.real
+        return self.qgt(lam, n).berry_curvature
 
     def qgt(self, lam, n) -> GeometricTensors:
         br = self.bracket_set(lam, n)
@@ -301,25 +234,23 @@ class GeometryEngine:
         g = (
             A
             - np.outer(cbar, c)
-            - 0.25 * B
-            - 0.25 * np.conj(B.T)
-            + 0.25 * np.outer(s, c)
-            + 0.25 * np.outer(cbar, s)
+            - 0.25 * (B + np.conj(B.T))
+            + 0.25 * (np.outer(s, c) + np.outer(cbar, s))
             + (S - np.outer(s, s)) / 16.0
         )
         residue = float(np.max(np.abs(g - g.conj().T)))
         if residue > self.cfg.hermiticity_gate:
             raise EngineError(
                 f"QGT Hermiticity residue {residue:.3e} exceeds "
-                f"{self.cfg.hermiticity_gate:.1e}; quadrature and "
-                "finite-difference accuracy are out of balance"
+                f"{self.cfg.hermiticity_gate:.1e}; the assembled brackets "
+                "are inconsistent"
             )
-        raw = -1j * c + 0.25j * s
+        g = 0.5 * (g + g.conj().T)
         return GeometricTensors(
             qgt=g,
-            qmt=self._qmt_from(br),
-            berry_curvature=self._curvature_from(br),
-            berry_connection=raw.real,
+            qmt=g.real.copy(),
+            berry_curvature=2.0 * g.imag,
+            berry_connection=(-1j * c + 0.25j * s).real,
             quad_error=br["err"],
             fd_steps=br["fd_steps"],
         )
@@ -327,31 +258,20 @@ class GeometryEngine:
     def qgt_projector_oracle(self, lam, n):
         """QGT via <v_r|P|v_k> with v_r = d_r psi - sigma_r psi / 4.
 
-        Independent quadrature route: the sigma corrections sit inside a
-        single integrand per entry instead of being assembled from the
-        bracket family.  Kept as a cross-check of the expanded formula.
+        The sigma corrections sit inside the columns [psi, v_1 .. v_m] of a
+        Gram matrix of its own instead of being assembled from the bracket
+        family.  Kept as a cross-check of the expanded formula.
         """
         lamv = param_values(lam)
         n = as_quantum_number(n)
-        m = lamv.size
-        psi0 = self._state(lamv, n)
-        dpsi = [self._dstate(lamv, n, r) for r in range(m)]
-        sig = [self._sigma(lamv, r) for r in range(m)]
 
-        def v(r):
-            return lambda *axes: dpsi[r](*axes) - 0.25 * sig[r](*axes) * psi0(*axes)
+        def columns(*axes):
+            psi, dpsi, sigma = self._sample(lamv, n, axes)
+            return [psi, *(d - 0.25 * s * psi for d, s in zip(dpsi, sigma))]
 
-        g = np.zeros((m, m), dtype=complex)
-        vp = np.zeros(m, dtype=complex)
-        for r in range(m):
-            val, _ = self.bracket("proj_vp", lamv, n, bra=v(r), ket=psi0, extra=(r,))
-            vp[r] = val
-        for r in range(m):
-            for k in range(m):
-                val, _ = self.bracket("proj_vv", lamv, n, bra=v(r), ket=v(k),
-                                      extra=(r, k))
-                g[r, k] = val - vp[r] * np.conj(vp[k])
-        return g
+        gram, _ = self.bracket("projector", lamv, n, columns)
+        vp = gram[1:, 0]
+        return gram[1:, 1:] - np.outer(vp, np.conj(vp))
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +306,6 @@ def sigma_expectation(psi, metric, domain, lam, n, rho,
 
 def berry_connection(psi, metric, domain, lam, n, cfg=None, in_domain=None):
     return _engine(psi, metric, domain, cfg, in_domain).berry_connection(lam, n)
-
-
-def gamma_tensor(psi, metric, domain, lam, n, cfg=None, in_domain=None):
-    return _engine(psi, metric, domain, cfg, in_domain).gamma(lam, n)
 
 
 def qmt(psi, metric, domain, lam, n, cfg=None, in_domain=None):

@@ -5,13 +5,22 @@ Two schemes back every curved inner product:
 * finite intervals use adaptive bisection with an embedded 7/15-point
   Gauss-Kronrod error estimate;
 * unbounded (or transform-tamed) axes use double-exponential rules
-  (tanh-sinh, exp-sinh, sinh-sinh) refined by mesh halving, which reuse
-  all previous evaluations and tolerate integrable endpoint behaviour.
+  (tanh-sinh, exp-sinh, sinh-sinh) refined by mesh halving.  The levels
+  nest: each one evaluates only the nodes it adds and reuses the sum over
+  all earlier ones, and integrable endpoint behaviour is tolerated.
 
 Integrands receive physical coordinates as arrays, one argument per axis,
-and must return values broadcast to the same shape.  Axis transforms and
-even-symmetry folding declared on the :class:`~curvedqgt.core.Domain` are
-applied here, so callers always write integrands in physical variables.
+and must return values broadcast to the same shape.  An integrand may be
+array-valued: leading axes then index entries, trailing axes nodes, and
+the value and the error estimate come back per entry.  An integrand that
+returns its stacked columns ``U`` (shape ``(k, *nodes)``) viewed as
+:class:`GramColumns` gets the k-by-k Gram matrix
+``G[a, b] = integral conj(U_a) U_b``, contracted as one matrix product per
+chunk of nodes rather than k*k per-node products.  Nodes are evaluated in
+chunks of at most ``_CHUNK``, so memory stays flat at fine levels.  Axis
+transforms and even-symmetry folding declared on the
+:class:`~curvedqgt.core.Domain` are applied here, so callers always write
+integrands in physical variables.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from .core import (
     QuadratureConvergenceError,
 )
 
-__all__ = ["QuadratureConfig", "integrate", "integrate_2d_product"]
+__all__ = ["QuadratureConfig", "GramColumns", "integrate", "integrate_2d_product"]
 
 _Q = math.pi / 2.0
 
@@ -50,8 +59,18 @@ class QuadratureConfig:
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
 
-    def tolerance(self, value: complex) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(value))
+    def tolerance(self, value):
+        """Error allowed for a value, entry by entry for arrays."""
+        return np.maximum(self.abs_tol, self.rel_tol * np.abs(value))
+
+
+class GramColumns(np.ndarray):
+    """Integrand value asking for the Gram matrix of its columns.
+
+    Build it as ``np.stack(columns).view(GramColumns)``, shape
+    ``(k, *nodes)``; the integral is then the k-by-k matrix
+    ``sum_i w_i conj(U[:, i]) U[:, i]^T`` over the quadrature nodes i.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -125,77 +144,87 @@ def _axis_node_maker(axis: Axis):
 
 
 # ---------------------------------------------------------------------------
-# Double-exponential level driver (1-D)
+# Chunked evaluation and contraction
 # ---------------------------------------------------------------------------
 
 _H0 = 0.5
-_MIN_EXTENT = 3.5
-_BLOCK = 16
+# nodes per integrand call: large enough to amortize the call, small enough
+# that its temporaries stay small and peak memory flat (2-D Gram columns
+# evaluated fastest per node between about 2.5k and 5k nodes per call)
+_CHUNK = 4096
 
 
-def _check_finite(vals, xs):
+def _node_values(out, x, ny=None):
+    """Integrand output as complex (entries..., nodes); non-finite values raise.
+
+    ``x`` holds the nodes of the first axis; in 2-D each of them carries a
+    row of ``ny`` nodes of the second.
+    """
+    node_shape = (x.size,) if ny is None else (x.size, ny)
+    vals = np.asarray(out, dtype=complex)
+    lead = vals.shape[:max(0, vals.ndim - len(node_shape))]
+    vals = np.broadcast_to(vals, lead + node_shape).reshape(lead + (-1,))
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise IntegrandNaNError(np.asarray(xs).ravel()[idx])
+        node = int(np.argmax(bad.reshape(-1, vals.shape[-1]).any(axis=0)))
+        raise IntegrandNaNError(x[node // (ny or 1)])
+    return vals
 
 
-def _level_sum(f, node_fn, h, level, t_cap, tail_cut):
-    """Sum w*f over the new nodes of one refinement level.
+def _block_sum(f, x, wx, y=None, wy=None):
+    """Weighted sum of ``f`` over the nodes x, or over the grid x times y.
 
-    Level 0 walks all multiples of h, finer levels only odd multiples.
-    Both sides expand in blocks until contributions stay below tail_cut.
+    The integrand is called once per chunk of at most ``_CHUNK`` nodes
+    (whole rows of the grid in 2-D).
     """
-    total = 0.0 + 0.0j
-    if level == 0:
-        t0 = np.array([0.0])
-        x0, w0 = node_fn(t0)
-        v0 = np.asarray(f(x0), dtype=complex) * w0
-        _check_finite(v0, x0)
-        total += v0.sum()
-        sides = (np.arange(1, _BLOCK + 1), -np.arange(1, _BLOCK + 1))
-        stride = 1
-    else:
-        sides = (np.arange(1, 2 * _BLOCK, 2), -np.arange(1, 2 * _BLOCK, 2))
-        stride = 2
-    for first in sides:
-        ks = first.astype(float)
-        while True:
-            t = ks * h
-            keep = np.abs(t) <= t_cap
-            if not np.any(keep):
-                break
-            t = t[keep]
-            x, w = node_fn(t)
-            vals = np.asarray(f(x), dtype=complex) * w
-            _check_finite(vals, x)
-            block = vals.sum()
-            total += block
-            reached_cap = not bool(np.all(keep))
-            small = abs(block) <= tail_cut and np.abs(t).min() >= _MIN_EXTENT
-            if reached_cap or small:
-                break
-            ks = ks + np.sign(ks[0]) * stride * _BLOCK
+    step = max(1, _CHUNK // (1 if y is None else y.size))
+    total = 0.0
+    for i in range(0, x.size, step):
+        xs, w = x[i:i + step], wx[i:i + step]
+        if y is None:
+            out = f(xs)
+            vals = _node_values(out, xs)
+        else:
+            out = f(xs[:, None], y[None, :])
+            vals = _node_values(out, xs, y.size)
+            w = np.outer(w, wy).ravel()
+        if isinstance(out, GramColumns):
+            total = total + (vals.conj() * w) @ vals.T
+        else:
+            total = total + vals @ w
     return total
 
 
-def _integrate_de(f, node_fn, t_cap, cfg: QuadratureConfig):
-    tail_cut = 0.01 * cfg.abs_tol
+def _axis_level(node_fn, t_cap: float, h: float, level: int):
+    """(x, w) at the mesh points a level adds: all of them at level 0,
+    the odd multiples of h after that."""
+    k_max = int(math.floor(t_cap / h))
+    k = np.arange(-k_max, k_max + 1)
+    if level > 0:
+        k = k[k % 2 != 0]
+    return node_fn(k * h)
+
+
+def _refine(level_sum, dim: int, cfg: QuadratureConfig, rule: str):
+    """Nested trapezoid refinement over the steps h = _H0 / 2^level.
+
+    ``level_sum(level, h)`` sums w * f over the nodes the level adds; the
+    earlier nodes keep their sum, scaled by 1/2 per axis as h halves.  The
+    error of each entry is its change over the last level, and the rule
+    stops once every entry is within tolerance (from level 2 on).
+    """
     h = _H0
-    acc = _level_sum(f, node_fn, h, 0, t_cap, tail_cut) * h
-    prev = acc
-    err = math.inf
+    acc = level_sum(0, h) * h ** dim
+    prev, err = acc, np.inf
     for level in range(1, cfg.max_levels + 1):
         h *= 0.5
-        acc = 0.5 * acc + _level_sum(f, node_fn, h, level, t_cap, tail_cut) * h
-        err = abs(acc - prev)
-        tail_cut = 0.01 * cfg.tolerance(acc)
-        if level >= 2 and err <= cfg.tolerance(acc):
+        acc = acc * 0.5 ** dim + level_sum(level, h) * h ** dim
+        err = np.abs(acc - prev)
+        if level >= 2 and np.all(err <= cfg.tolerance(acc)):
             return acc, err
         prev = acc
     raise QuadratureConvergenceError(
-        f"double-exponential rule did not converge in {cfg.max_levels} levels",
-        acc, err,
+        f"{rule} did not converge in {cfg.max_levels} levels", acc, float(np.max(err)),
     )
 
 
@@ -226,14 +255,21 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 
 
 def _gk_panels(f, a: np.ndarray, b: np.ndarray):
-    """Evaluate the 7/15 pair on a batch of panels: (values, errors)."""
+    """Evaluate the 7/15 pair on a batch of panels: (values, errors).
+
+    Both come back as (entries..., panels).  Gram columns are expanded to
+    per-node products here; finite axes are short, so the cost is small.
+    """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    x = mid[:, None] + half[:, None] * _XGK[None, :]
-    vals = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
-    _check_finite(vals, x)
-    k15 = (vals * _WGK[None, :]).sum(axis=1) * half
-    g7 = (vals[:, _GAUSS_IDX] * _WG[None, :]).sum(axis=1) * half
+    x = (mid[:, None] + half[:, None] * _XGK[None, :]).ravel()
+    out = f(x)
+    vals = _node_values(out, x)
+    if isinstance(out, GramColumns):
+        vals = vals.conj()[:, None] * vals[None, :]
+    vals = vals.reshape(vals.shape[:-1] + (a.size, _XGK.size))
+    k15 = (vals @ _WGK) * half
+    g7 = (vals[..., _GAUSS_IDX] @ _WG) * half
     return k15, np.abs(k15 - g7)
 
 
@@ -242,25 +278,25 @@ def _integrate_gk(f, lo: float, hi: float, cfg: QuadratureConfig):
     b = np.array([hi], dtype=float)
     vals, errs = _gk_panels(f, a, b)
     while True:
-        total = vals.sum()
-        total_err = errs.sum()
-        if total_err <= cfg.tolerance(total):
-            return total, float(total_err)
+        total = vals.sum(axis=-1)
+        total_err = errs.sum(axis=-1)
+        if np.all(total_err <= cfg.tolerance(total)):
+            return total, total_err
         if a.size >= cfg.max_subdivisions:
             raise QuadratureConvergenceError(
                 f"adaptive subdivision exceeded {cfg.max_subdivisions} panels",
-                total, float(total_err),
+                total, float(np.max(total_err)),
             )
         n_split = max(1, min(a.size // 2 + 1, 64, cfg.max_subdivisions - a.size))
-        order = np.argsort(errs)[::-1]
+        order = np.argsort(errs.reshape(-1, a.size).max(axis=0))[::-1]
         split, keep = order[:n_split], order[n_split:]
         mids = 0.5 * (a[split] + b[split])
         new_a = np.concatenate([a[keep], a[split], mids])
         new_b = np.concatenate([b[keep], mids, b[split]])
         sub_vals, sub_errs = _gk_panels(f, new_a[keep.size:], new_b[keep.size:])
         a, b = new_a, new_b
-        vals = np.concatenate([vals[keep], sub_vals])
-        errs = np.concatenate([errs[keep], sub_errs])
+        vals = np.concatenate([vals[..., keep], sub_vals], axis=-1)
+        errs = np.concatenate([errs[..., keep], sub_errs], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +307,12 @@ def integrate(f: Callable, domain: Domain, cfg: QuadratureConfig | None = None
               ) -> Tuple[complex, float]:
     """Integrate ``f`` over a 1-D domain; returns (value, error estimate).
 
-    ``f`` maps an array of physical coordinates to complex values.  The
-    scheme is picked from the domain: plain finite intervals use adaptive
-    Gauss-Kronrod bisection, anything unbounded or transform-tamed uses the
-    double-exponential rule.
+    ``f`` maps an array of physical coordinates to complex values, or to an
+    array of them (see the module docstring); value and error then come
+    back per entry.  The scheme is picked from the domain: plain finite
+    intervals use adaptive Gauss-Kronrod bisection, anything unbounded or
+    transform-tamed uses the double-exponential rule, which calls ``f``
+    once per chunk of each level's new nodes.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -292,15 +330,8 @@ def integrate(f: Callable, domain: Domain, cfg: QuadratureConfig | None = None
             raise ValueError("gauss-kronrod scheme requires a plain finite axis")
         return _integrate_gk(f, axis.lo, axis.hi, cfg)
     node_fn, t_cap = _axis_node_maker(axis)
-    return _integrate_de(f, node_fn, t_cap, cfg)
-
-
-def _axis_level_nodes(node_fn, t_cap, h):
-    """All nodes of one mesh level on [-t_cap, t_cap] (non-incremental)."""
-    k_max = int(math.floor(t_cap / h))
-    t = np.arange(-k_max, k_max + 1) * h
-    x, w = node_fn(t)
-    return x, w * h
+    return _refine(lambda level, h: _block_sum(f, *_axis_level(node_fn, t_cap, h, level)),
+                   1, cfg, "double-exponential rule")
 
 
 def _as_axis(d) -> Axis:
@@ -319,33 +350,29 @@ def integrate_2d_product(f: Callable, domain_x, domain_y,
     """Tensor-product integration over two axes; returns (value, error).
 
     ``f(x, y)`` must broadcast over a column of x values against a row of
-    y values.  Both axes are refined together on double-exponential meshes
-    and the error is estimated from the last refinement step.  Rows and
-    columns whose weights cannot contribute above the tolerance budget are
-    trimmed, which keeps grids compact for localized integrands.
+    y values; it may be array-valued like a 1-D integrand.  Both axes are
+    refined together on nested double-exponential meshes, each spanning
+    its axis' full t range: a level evaluates only its new rows (new x
+    against every y) and new columns (old x against new y), and the error
+    of each entry is its change over the last level.
     """
     if cfg is None:
         cfg = QuadratureConfig()
     ax, ay = _as_axis(domain_x), _as_axis(domain_y)
     nodes_x, cap_x = _axis_node_maker(ax)
     nodes_y, cap_y = _axis_node_maker(ay)
+    grid = []  # (x, wx, y, wy) of all nodes so far
 
-    prev = None
-    acc = 0.0 + 0.0j
-    err = math.inf
-    h = _H0
-    for level in range(cfg.max_levels + 1):
-        x, wx = _axis_level_nodes(nodes_x, cap_x, h)
-        y, wy = _axis_level_nodes(nodes_y, cap_y, h)
-        vals = np.asarray(f(x[:, None], y[None, :]), dtype=complex)
-        _check_finite(vals, np.broadcast_to(x[:, None], vals.shape))
-        acc = np.einsum("i,j,ij->", wx, wy, vals)
-        if prev is not None:
-            err = abs(acc - prev)
-            if level >= 2 and err <= cfg.tolerance(acc):
-                return acc, err
-        prev = acc
-        h *= 0.5
-    raise QuadratureConvergenceError(
-        f"product rule did not converge in {cfg.max_levels} levels", acc, err
-    )
+    def level_sum(level, h):
+        x, wx = _axis_level(nodes_x, cap_x, h, level)
+        y, wy = _axis_level(nodes_y, cap_y, h, level)
+        if level == 0:
+            grid[:] = [x, wx, y, wy]
+            return _block_sum(f, x, wx, y, wy)
+        x0, wx0, y0, wy0 = grid
+        y_all, wy_all = np.concatenate([y0, y]), np.concatenate([wy0, wy])
+        total = _block_sum(f, x, wx, y_all, wy_all) + _block_sum(f, x0, wx0, y, wy)
+        grid[:] = [np.concatenate([x0, x]), np.concatenate([wx0, wx]), y_all, wy_all]
+        return total
+
+    return _refine(level_sum, 2, cfg, "product rule")

@@ -29,6 +29,7 @@ from .core import (
     EigensolveError,
     EngineError,
     LevelCrossingError,
+    LruCache,
     MetricPositivityError,
     WavefunctionFamily,
     as_quantum_number,
@@ -47,6 +48,9 @@ __all__ = [
 ]
 
 _END_OFFSET = 1e-8  # inward nudge for coefficient evaluation at degenerate endpoints
+# grid-family solves kept per family: every stencil point of a 4th-order or
+# Richardson derivative (4 per parameter) for up to 8 parameters
+_SOLVE_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -230,23 +234,22 @@ def numerical_wavefunction_family(model: ModelSpec, lam, n_levels: int,
     Solves lazily at every requested parameter point on a frozen grid (the
     one built at the base point), aligns eigenvector signs against the
     base solve so parameter differentiation sees a smooth gauge, and
-    interpolates in the solver coordinate.  Accuracy is grid-limited;
-    expect metric components at the few-1e-3 level.
+    interpolates in the solver coordinate.  Solves are kept in a locked,
+    bounded cache that holds a full finite-difference stencil set, so
+    evaluating every quadrature level reuses them; the base solve is
+    pinned.  Accuracy is grid-limited; expect metric components at the
+    few-1e-3 level.
     """
     base_lam = param_values(lam)
     grid = make_grid(model, base_lam, n_points, n_max=2 * n_levels + 3)
-    cache: dict = {}
+    cache = LruCache(_SOLVE_CACHE_SIZE)
 
-    def solve(lamv: np.ndarray):
-        key = lamv.tobytes()
-        if key in cache:
-            return cache[key]
+    def solve_aligned(lamv: np.ndarray, base):
         levels = solve_levels(model, lamv, n_levels + 1, grid=grid)
         gaps = np.diff([e for e, _, _, _ in levels])
         if np.any(gaps < gap_threshold):
             j = int(np.argmin(gaps))
             raise LevelCrossingError(j, j + 1, float(gaps[j]))
-        base = cache.get(base_lam.tobytes())
         splines = []
         for j, (e, phi, _, _) in enumerate(levels[:n_levels]):
             if base is not None:
@@ -254,10 +257,17 @@ def numerical_wavefunction_family(model: ModelSpec, lam, n_levels: int,
                 if overlap < 0:
                     phi = -phi
             splines.append((e, phi, CubicSpline(grid.points, phi)))
-        cache[key] = splines
         return splines
 
-    solve(base_lam)
+    # the base solve is the sign reference, so it is pinned outside the cache
+    base_key = base_lam.tobytes()
+    base_splines = solve_aligned(base_lam, None)
+
+    def solve(lamv: np.ndarray):
+        key = lamv.tobytes()
+        if key == base_key:
+            return base_splines
+        return cache.get_or_compute(key, lambda: solve_aligned(lamv, base_splines))
 
     # the physical norm picks up the covering multiplicity of the grid
     # coordinate, so the interpolated state is rescaled to unit curved norm

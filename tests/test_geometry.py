@@ -461,3 +461,79 @@ def test_concurrent_evaluations_deterministic(generalized):
         results = list(pool.map(lambda _: eng.qmt(lam, (0,)), range(4)))
     for r in results[1:]:
         assert np.array_equal(results[0], r)
+
+
+def test_bracket_cache_bounded(flat):
+    """300 distinct points on one engine keep at most the LRU capacity."""
+    eng = make_engine(flat, [1.0])
+    for om in np.linspace(0.6, 2.0, 300):
+        eng.berry_connection(np.array([om]), (0,))
+    assert len(eng.cache) <= geo.BRACKET_CACHE_SIZE
+    assert eng.cache.misses == 300
+    # the most recent point is still held: a repeat is a hit
+    eng.berry_connection(np.array([2.0]), (0,))
+    assert eng.cache.hits == 1
+
+
+def test_one_family_pass_per_point(generalized, monkeypatch):
+    """psi is sampled once per integrand call, not once per bracket.
+
+    Every integrand call covers one chunk of one quadrature level, so a
+    fresh qgt costs (levels reached x node chunks) evaluations of psi;
+    norm, sigma expectation and connection at the same point then reuse
+    the cached Gram and sample nothing.
+    """
+    import dataclasses
+
+    calls = {"psi": 0, "integrand": 0, "integrate": 0}
+    base_eval = generalized.psi.eval
+
+    def counted_eval(*args):
+        calls["psi"] += 1
+        return base_eval(*args)
+
+    real_integrate = geo.integrate
+
+    def counting_integrate(f, domain, cfg=None):
+        calls["integrate"] += 1
+
+        def counted(*axes):
+            calls["integrand"] += 1
+            return f(*axes)
+
+        return real_integrate(counted, domain, cfg)
+
+    monkeypatch.setattr(geo, "integrate", counting_integrate)
+    psi = dataclasses.replace(generalized.psi, eval=counted_eval)
+    lam = np.array([1.1, 0.2, 1.3])
+    eng = geo.GeometryEngine(psi, generalized.metric, generalized.domain_for(lam),
+                             in_domain=generalized.in_domain)
+    eng.qgt(lam, (1,))
+    n_brackets = 30  # c, s: 3 each; A, B: 9 each; S: 6
+    assert calls["integrate"] == 1
+    assert calls["psi"] == calls["integrand"] <= eng.cfg.quad.max_levels + 1 < n_brackets
+    before = dict(calls)
+    eng.norm(lam, (1,))
+    eng.sigma_expectation(lam, (1,), 2)
+    eng.berry_connection(lam, (1,))
+    assert calls == before
+
+
+_CLOSED_FORM_CASES = [("anharmonic-1d", 0), ("anharmonic-1d", 2),
+                      ("generalized-anharmonic", 0), ("generalized-anharmonic", 1),
+                      ("flat-oscillator-1d", 0)]
+
+
+@pytest.mark.parametrize("name,n", _CLOSED_FORM_CASES)
+def test_reported_error_bounds_closed_form(name, n):
+    """|result - closed form| stays within the tolerance the bundle reports."""
+    model = models.get_model(name)
+    rng = np.random.default_rng(11 + n)
+    for _ in range(3):
+        lamv = model.sample_parameters(rng)
+        tensors = make_engine(model, lamv).qgt(lamv, (n,))
+        ref = models.analytic_reference(model, "qmt", n, lamv)
+        assert np.max(np.abs(tensors.qmt - ref)) <= tensors.tolerance(), lamv
+        if name == "generalized-anharmonic":
+            beta = models.analytic_reference(model, "berry_connection", n, lamv)
+            assert np.max(np.abs(tensors.berry_connection - beta)) <= tensors.tolerance()

@@ -10,7 +10,13 @@ from curvedqgt.core import (
     IntegrandNaNError,
     QuadratureConvergenceError,
 )
-from curvedqgt.quadrature import QuadratureConfig, integrate, integrate_2d_product
+from curvedqgt import quadrature
+from curvedqgt.quadrature import (
+    GramColumns,
+    QuadratureConfig,
+    integrate,
+    integrate_2d_product,
+)
 
 
 CFG = QuadratureConfig()
@@ -140,3 +146,89 @@ def test_gk_subdivision_limit():
     cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=4)
     with pytest.raises(QuadratureConvergenceError):
         integrate(lambda x: np.cos(40.0 * x * x), Domain.interval(0.0, 6.0), cfg)
+
+
+# ---------------------------------------------------------------------------
+# Array-valued integrands, Gram columns and nested levels
+# ---------------------------------------------------------------------------
+
+def _gauss_columns(x):
+    g = np.exp(-0.5 * x * x)
+    return [g, x * g, (1.0 + 1j * x) * g * np.cos(x)]
+
+
+@pytest.mark.parametrize("domain", [Domain.full_line(), Domain.interval(-6.0, 6.0)],
+                         ids=["double-exponential", "gauss-kronrod"])
+def test_array_valued_matches_scalar_entries(domain):
+    val, err = integrate(lambda x: np.stack(_gauss_columns(x)), domain, CFG)
+    assert val.shape == err.shape == (3,)
+    for j in range(3):
+        ref, _ = integrate(lambda x: _gauss_columns(x)[j], domain, CFG)
+        assert abs(val[j] - ref) <= 1e-12
+    assert np.all(err <= CFG.tolerance(val))
+
+
+@pytest.mark.parametrize("domain", [Domain.full_line(), Domain.interval(-6.0, 6.0)],
+                         ids=["double-exponential", "gauss-kronrod"])
+def test_gram_columns_match_entrywise_integrals(domain):
+    gram, err = integrate(
+        lambda x: np.stack(_gauss_columns(x)).view(GramColumns), domain, CFG)
+    assert gram.shape == err.shape == (3, 3)
+    for a in range(3):
+        for b in range(3):
+            ref, _ = integrate(
+                lambda x: np.conj(_gauss_columns(x)[a]) * _gauss_columns(x)[b],
+                domain, CFG)
+            assert abs(gram[a, b] - ref) <= 1e-12
+    assert abs(gram[0, 0] - math.sqrt(math.pi)) < 1e-12
+
+
+def test_2d_gram_columns_match_entrywise_integrals():
+    def columns(x, y):
+        g = np.exp(-0.5 * (x * x + y * y))
+        return [g, x * y * g, (1.0 + 1j * y) * g]
+
+    gram, err = integrate_2d_product(
+        lambda x, y: np.stack(np.broadcast_arrays(*columns(x, y))).view(GramColumns),
+        Domain.full_line(), Domain.full_line(), CFG)
+    assert gram.shape == err.shape == (3, 3)
+    for a in range(3):
+        for b in range(3):
+            ref, _ = integrate_2d_product(
+                lambda x, y: np.conj(columns(x, y)[a]) * columns(x, y)[b],
+                Domain.full_line(), Domain.full_line(), CFG)
+            assert abs(gram[a, b] - ref) <= 1e-12
+    assert abs(gram[0, 0] - math.pi) < 1e-12
+
+
+def test_levels_nest_without_repeating_nodes():
+    """Each level evaluates only the nodes it adds, in bounded chunks."""
+    seen_1d, seen_2d = [], []
+
+    def f1(x):
+        seen_1d.append(x.copy())
+        return np.exp(-x * x) * np.cos(3.0 * x)
+
+    def f2(x, y):
+        seen_2d.append(np.broadcast_arrays(x, y))
+        return np.exp(-x * x - y * y) * np.cos(3.0 * x * y)
+
+    integrate(f1, Domain.full_line(), CFG)
+    integrate_2d_product(f2, Domain.full_line(), Domain.full_line(), CFG)
+    nodes = np.concatenate(seen_1d)
+    assert np.unique(nodes).size == nodes.size
+    assert len(seen_1d) >= 3
+    pairs = np.concatenate([np.stack([x.ravel(), y.ravel()], axis=1) for x, y in seen_2d])
+    assert np.unique(pairs, axis=0).shape[0] == pairs.shape[0]
+    chunk = quadrature._CHUNK
+    assert max(v.size for v in seen_1d) <= chunk
+    assert max(x.size for x, _ in seen_2d) <= chunk
+
+
+def test_array_nonconvergence_reports_worst_entry():
+    cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16, max_levels=3)
+    with pytest.raises(QuadratureConvergenceError) as err:
+        integrate(lambda x: np.stack([np.exp(-x * x), np.exp(-x * x) * np.cos(7 * x)]),
+                  Domain.full_line(), cfg)
+    assert err.value.best_value.shape == (2,)
+    assert err.value.err_estimate > 0

@@ -130,3 +130,56 @@ def test_numerical_family_flat_metric(flat):
                              _family_cfg(), in_domain=flat.in_domain)
     G = eng.qmt(lam, (0,))
     assert abs(G[0, 0] - 0.125) / 0.125 < 5e-3
+
+
+def test_numerical_family_solves_once_per_stencil_point(anharmonic, monkeypatch):
+    """Every quadrature level reuses the cached solves of the FD stencil."""
+    lam = np.array([1.0, 1.0])
+    solves = []
+    real_solve = sp.solve_levels
+
+    def counted(model, lamv, *args, **kwargs):
+        solves.append(np.asarray(lamv, dtype=float).tobytes())
+        return real_solve(model, lamv, *args, **kwargs)
+
+    monkeypatch.setattr(sp, "solve_levels", counted)
+    fam = sp.numerical_wavefunction_family(anharmonic, lam, 1, n_points=400)
+    eng = geo.GeometryEngine(fam, anharmonic.metric, anharmonic.domain_for(lam),
+                             _family_cfg(), in_domain=anharmonic.in_domain)
+    eng.qgt(lam, (0,))
+    # the base point plus two central-difference points per parameter
+    assert len(solves) == len(set(solves)) == 1 + 2 * lam.size
+
+
+def test_numerical_family_thread_safe(anharmonic):
+    """Four threads at shared and distinct points see the serial arrays.
+
+    The 40 distinct points overflow the solve cache, so threads evict
+    entries while others read them.
+    """
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    lam = np.array([1.0, 1.0])
+    x = np.linspace(0.05, 3.0, 64)
+    shared = [np.array([1.0, 1.0]), np.array([1.05, 0.95])]
+    distinct = [[np.array([0.9 + 0.01 * (10 * t + j), 1.1]) for j in range(10)]
+                for t in range(4)]
+
+    def sweep(fam, points):
+        return [fam.eval(p, (0,), x) for p in points]
+
+    serial_fam = sp.numerical_wavefunction_family(anharmonic, lam, 1, n_points=400)
+    expected = [sweep(serial_fam, shared + d + shared) for d in distinct]
+    fam = sp.numerical_wavefunction_family(anharmonic, lam, 1, n_points=400)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda d: sweep(fam, shared + d + shared), distinct,
+                                timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for want_t, got_t in zip(expected, got):
+        for want, have in zip(want_t, got_t):
+            assert np.array_equal(want, have)
