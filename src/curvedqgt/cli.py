@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import click
@@ -436,7 +435,11 @@ def cmd_sweep(ctx, model_name, hbar, fmt, out, config_path, jobs,
 
     results = [None] * len(tasks)
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the pool starts every worker at the first submit, so ask for no
+        # more workers than there are points
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             for idx, rec in pool.map(_run_sweep_task, tasks, chunksize=4):
                 results[idx] = rec
     else:

@@ -232,25 +232,25 @@ def _refine(level_sum, dim: int, cfg: QuadratureConfig, rule: str):
 # Gauss-Kronrod 7/15 adaptive bisection
 # ---------------------------------------------------------------------------
 
-_XGK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
+_XGK_HALF = [  # QUADPACK qk15 abscissae, outermost first
+    .991455371120812639206854697526329, .949107912342758524526189684047851,
+    .864864423359769072789712788640926, .741531185599394439863864773280788,
+    .586087235467691130294144845693013, .405845151377397166906606412076961,
+    .207784955007898467600689403773245, 0.0,
+]
+_WGK_HALF = [
+    .022935322010529224963732008058970, .063092092629978553290700663189204,
+    .104790010322250183839876322541518, .140653259715525918745189590510238,
+    .169004726639267902826583426598550, .190350578064785409913256402421014,
+    .204432940075298892414161999234649, .209482141084727828012999174891714,
+]
+_WG_HALF = [
+    .129484966168869693270611432679082, .279705391489276667901467771423780,
+    .381830050505118944950369775488975, .417959183673469387755102040816327,
+]
+_XGK = np.array([-x for x in _XGK_HALF[:-1]] + _XGK_HALF[::-1])
+_WGK = np.array(_WGK_HALF + _WGK_HALF[-2::-1])
+_WG = np.array(_WG_HALF + _WG_HALF[-2::-1])
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 

@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.interpolate import CubicSpline
 
 from .core import (
     EigensolveError,
@@ -36,6 +33,11 @@ from .core import (
     param_values,
 )
 from .models import ModelSpec
+
+# scipy costs more to import than most commands take to run, so each solver
+# function imports the part it needs and `import curvedqgt` loads none of it
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "Grid1D",
@@ -125,6 +127,8 @@ def build_hamiltonian(model: ModelSpec, grid: Grid1D,
     nudged inward since coordinate-degenerate endpoints (where the measure
     vanishes or the map blows up) sit exactly on them.
     """
+    import scipy.sparse
+
     lamv = grid.lam if lam is None else param_values(lam)
     h = grid.spacing
     u_cells = grid.points
@@ -171,6 +175,8 @@ def build_hamiltonian(model: ModelSpec, grid: Grid1D,
 
 def eigensolve(dh: DiscreteHamiltonian, k: int):
     """k lowest eigenpairs of H phi = E W phi, W-orthonormal, with residuals."""
+    import scipy.linalg
+
     if k > 10:
         raise ValueError("eigensolve serves the lowest k <= 10 levels")
     if k <= 0:
@@ -240,6 +246,8 @@ def numerical_wavefunction_family(model: ModelSpec, lam, n_levels: int,
     pinned.  Accuracy is grid-limited; expect metric components at the
     few-1e-3 level.
     """
+    from scipy.interpolate import CubicSpline
+
     base_lam = param_values(lam)
     grid = make_grid(model, base_lam, n_points, n_max=2 * n_levels + 3)
     cache = LruCache(_SOLVE_CACHE_SIZE)

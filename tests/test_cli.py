@@ -151,6 +151,28 @@ def test_sweep_deterministic_across_jobs(runner, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_sweep_pool_bounded_by_points(runner, tmp_path, monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            asked.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    args = ["sweep", "--model", "anharmonic-1d", "--lambda", "1",
+            "--grid", "omega=0.5:2:3", "--quantities", "qmt"]
+    out1 = tmp_path / "serial.csv"
+    out8 = tmp_path / "parallel.csv"
+    _invoke(runner, args + ["--jobs", "1", "--out", str(out1)])
+    assert asked == []
+    _invoke(runner, args + ["--jobs", "8", "--out", str(out8)])
+    assert asked == [3]
+    assert out1.read_bytes() == out8.read_bytes()
+
+
 def test_sweep_records_per_point_failures(runner):
     # omega = 0 sits outside the parameter domain; the row carries the error
     result = _invoke(runner, [

@@ -220,17 +220,26 @@ def test_qgt_bundle(generalized, engine_factory):
     assert np.max(np.abs(proj - tensors.qgt)) < 1e-9
 
 
-def test_qgt_hermiticity_gate(anharmonic):
-    cfg = geo.EngineConfig(hermiticity_gate=1e-22)
+def test_qgt_hermiticity_gate(anharmonic, monkeypatch):
     lam = np.array([1.0, 1.3])
-    eng = geo.GeometryEngine(anharmonic.psi, anharmonic.metric,
-                             anharmonic.domain_for(lam), cfg,
-                             in_domain=anharmonic.in_domain)
-    # an absurdly tight gate trips on benign quadrature noise
-    try:
+    eng = make_engine(anharmonic, lam)
+    assert eng.cfg.hermiticity_gate == geo.EngineConfig().hermiticity_gate
+    clean = eng.qgt(lam, (2,))
+    assert np.all(np.isfinite(clean.qgt))
+
+    # an anti-Hermitian 1e-6 perturbation of A is what inconsistent brackets
+    # look like to the assembly; the default gate must refuse it
+    exact = eng.bracket_set
+
+    def skewed(lam, n):
+        br = dict(exact(lam, n))
+        m = br["A"].shape[0]
+        br["A"] = br["A"] + 1e-6j * np.ones((m, m))
+        return br
+
+    monkeypatch.setattr(eng, "bracket_set", skewed)
+    with pytest.raises(EngineError, match="Hermiticity"):
         eng.qgt(lam, (2,))
-    except EngineError as exc:
-        assert "Hermiticity" in str(exc)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,17 @@ def test_finite_interval_gauss_kronrod():
     assert err < 1e-8
 
 
+@pytest.mark.parametrize("nodes, weights, degree", [
+    (quadrature._XGK, quadrature._WGK, 22),
+    (quadrature._XGK[quadrature._GAUSS_IDX], quadrature._WG, 13),
+])
+def test_gauss_kronrod_tables_exact_for_polynomials(nodes, weights, degree):
+    # K15 is exact through x^22 and G7 through x^13 on [-1, 1]
+    for k in range(degree + 1):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.sum(weights * nodes ** k) - exact) <= 1e-15, k
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     coeffs_f=st.lists(st.floats(-3, 3), min_size=1, max_size=5),
