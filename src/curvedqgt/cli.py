@@ -203,58 +203,58 @@ def _point_record(model, lamv, n, quantities, cfg):
     return rec
 
 
-def _csv_header(model, quantities):
+def _csv_fields(model, quantities, rec=None):
+    """(column, value) pairs of one CSV row, in column order.
+
+    Without a record every value is None, which is all a header needs.  An
+    error row keeps its parameters and error text and leaves the rest empty.
+    """
     m = model.m
-    cols = list(model.parameter_names)
+    upper = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    full = [(i, j) for i in range(m) for j in range(m)]
+    with_diag = [(i, j) for i in range(m) for j in range(i, m)]
+    ok = rec is not None and not rec.get("error")
+
+    def at(key, *path):
+        if not ok:
+            return None
+        v = rec[key]
+        for p in path:
+            v = v[p]
+        return v
+
+    for nm in model.parameter_names:
+        yield nm, None if rec is None else rec["params"][nm]
     for q in quantities:
         if q == "qmt":
-            cols += [f"G_{i + 1}{j + 1}" for i in range(m) for j in range(m)]
+            yield from ((f"G_{i + 1}{j + 1}", at("qmt", i, j)) for i, j in full)
         elif q == "qgt":
-            cols += [f"QGTre_{i + 1}{j + 1}" for i in range(m) for j in range(m)]
-            cols += [f"QGTim_{i + 1}{j + 1}" for i in range(m) for j in range(m)]
+            for part in ("re", "im"):
+                yield from ((f"QGT{part}_{i + 1}{j + 1}", at("qgt", part, i, j))
+                            for i, j in full)
         elif q == "berry_curvature":
-            cols += [f"F_{i + 1}{j + 1}" for i in range(m) for j in range(i + 1, m)]
+            yield from ((f"F_{i + 1}{j + 1}", at("berry_curvature", i, j)) for i, j in upper)
         elif q == "berry_connection":
-            cols += [f"beta_{i + 1}" for i in range(m)]
+            yield from ((f"beta_{i + 1}", at("berry_connection", i)) for i in range(m))
         elif q == "det":
-            cols.append("det")
+            yield "det", at("det")
         elif q.startswith("subdet:"):
-            cols.append(f"subdet_{q.split(':', 1)[1]}")
+            key = f"subdet_{q.split(':', 1)[1]}"
+            yield key, at(key)
         elif q == "fidelity_chi":
-            cols += [f"chi_{i + 1}{j + 1}" for i in range(m) for j in range(i, m)]
-    cols += ["quad_err", "error"]
-    return cols
+            yield from ((f"chi_{i + 1}{j + 1}", at("fidelity_chi", i, j))
+                        for i, j in with_diag)
+    yield "quad_err", at("diag", "quad_error")
+    yield "error", None if rec is None else rec.get("error")
+
+
+def _csv_header(model, quantities):
+    return [col for col, _ in _csv_fields(model, quantities)]
 
 
 def _csv_row(model, quantities, rec):
-    m = model.m
-    if rec.get("error"):
-        vals = [_fmt(rec["params"][nm]) for nm in model.parameter_names]
-        pad = len(_csv_header(model, quantities)) - m - 1
-        return vals + [""] * pad + [str(rec["error"])]
-    vals = [_fmt(rec["params"][nm]) for nm in model.parameter_names]
-    for q in quantities:
-        if q == "qmt":
-            g = rec["qmt"]
-            vals += [_fmt(g[i][j]) for i in range(m) for j in range(m)]
-        elif q == "qgt":
-            g = rec["qgt"]
-            vals += [_fmt(g["re"][i][j]) for i in range(m) for j in range(m)]
-            vals += [_fmt(g["im"][i][j]) for i in range(m) for j in range(m)]
-        elif q == "berry_curvature":
-            f = rec["berry_curvature"]
-            vals += [_fmt(f[i][j]) for i in range(m) for j in range(i + 1, m)]
-        elif q == "berry_connection":
-            vals += [_fmt(v) for v in rec["berry_connection"]]
-        elif q == "det":
-            vals.append(_fmt(rec["det"]))
-        elif q.startswith("subdet:"):
-            vals.append(_fmt(rec[f"subdet_{q.split(':', 1)[1]}"]))
-        elif q == "fidelity_chi":
-            chi = rec["fidelity_chi"]
-            vals += [_fmt(chi[i][j]) for i in range(m) for j in range(i, m)]
-    vals += [_fmt(rec["diag"]["quad_error"]), ""]
-    return vals
+    return ["" if v is None else v if isinstance(v, str) else _fmt(v)
+            for _, v in _csv_fields(model, quantities, rec)]
 
 
 # ---------------------------------------------------------------------------

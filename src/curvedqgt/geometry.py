@@ -21,7 +21,11 @@ sigma factors, which may depend on x, stay inside the integrand.  Each
 entry's error is its change over the last quadrature level.  The quantum
 geometric tensor comes from one assembly formula; the projector form
 <d_r(g^(1/4)psi)| P |d_k(g^(1/4)psi)> is kept as a test oracle with a Gram
-of its own columns v_r = d_r psi - sigma_r psi / 4.  Conventions:
+of its own columns v_r = d_r psi - sigma_r psi / 4.  A Berry loop needs
+only the connection along each segment delta, so it integrates the
+three-column Gram of [psi, d_delta psi, sigma_delta psi], with
+d_delta = sum_r delta_r d_r taken over the nonzero delta_r only.
+Conventions:
 
     qmt              = Re(qgt)                  (symmetric)
     berry_curvature  = 2 Im(qgt) = d beta       (antisymmetric)
@@ -80,6 +84,13 @@ class EngineConfig:
     connection_residue_warn: float = 1e-6
 
 
+def _connection(c, s):
+    """beta = -i c + (i/4) s from c = <psi|d psi> and s = <sigma>, entry by
+    entry or along one direction; the imaginary part is a residue that
+    vanishes for a normalized family."""
+    return -1j * c + 0.25j * s
+
+
 class BracketCache(LruCache):
     """The ``BRACKET_CACHE_SIZE`` most recently used Gram matrices."""
 
@@ -130,14 +141,15 @@ class GeometryEngine:
             f, self.domain.axes[0], self.domain.axes[1], self.cfg.quad
         )
 
-    def _sample(self, lamv, n, axes):
-        """psi, [d_r psi] and [sigma_r] for r = 1..m at the given nodes."""
+    def _sample(self, lamv, n, axes, rs):
+        """psi, [d_r psi] and [sigma_r] for the parameters r in ``rs`` at the
+        given nodes."""
         fd, in_domain = self.cfg.fd, self.in_domain
         psi = np.asarray(self.psi.eval(lamv, n, *axes))
         dpsi = [d_psi(self.psi, n, lamv, r, fd, *axes, in_domain=in_domain)
-                for r in range(lamv.size)]
+                for r in rs]
         sigma = [-d_log_det_g(self.metric, lamv, r, fd, *axes, in_domain=in_domain)
-                 for r in range(lamv.size)]
+                 for r in rs]
         return psi, dpsi, sigma
 
     def _key(self, name, lamv, n):
@@ -183,7 +195,7 @@ class GeometryEngine:
         m = lamv.size
 
         def columns(*axes):
-            psi, dpsi, sigma = self._sample(lamv, n, axes)
+            psi, dpsi, sigma = self._sample(lamv, n, axes, range(m))
             return [psi, *dpsi, *(s * psi for s in sigma)]
 
         gram, err = self.bracket("family", lamv, n, columns)
@@ -202,18 +214,44 @@ class GeometryEngine:
     def sigma_expectation(self, lam, n, rho):
         return float(self.bracket_set(lam, n)["s"][rho])
 
-    def berry_connection(self, lam, n):
-        br = self.bracket_set(lam, n)
-        raw = -1j * br["c"] + 0.25j * br["s"]
+    def _real_connection(self, c, s):
+        """Real part of the connection formula; warns on a large imaginary part."""
+        raw = _connection(c, s)
         residue = float(np.max(np.abs(raw.imag)))
         if residue > self.cfg.connection_residue_warn:
             warnings.warn(
                 f"Berry connection imaginary residue {residue:.3e}; check "
                 "normalization and differentiation steps",
                 ImaginaryResidueWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         return raw.real
+
+    def berry_connection(self, lam, n):
+        br = self.bracket_set(lam, n)
+        return self._real_connection(br["c"], br["s"])
+
+    def berry_connection_along(self, lam, n, delta) -> float:
+        """beta . delta at one point, from the cached Gram of the three
+        columns [psi, d_delta psi, sigma_delta psi].
+
+        Equals ``berry_connection(lam, n) @ delta`` but samples only the
+        parameter derivatives with delta_r != 0.
+        """
+        lamv = param_values(lam)
+        n = as_quantum_number(n)
+        delta = np.asarray(delta, dtype=float)
+        rs = np.flatnonzero(delta)
+
+        def columns(*axes):
+            # d_delta = sum_r delta_r d_r, over the nonzero delta_r only
+            psi, dpsi, sigma = self._sample(lamv, n, axes, rs)
+            d = sum(delta[r] * v for r, v in zip(rs, dpsi))
+            s = sum(delta[r] * v for r, v in zip(rs, sigma))
+            return [psi, d, s * psi]
+
+        gram, _ = self.bracket(("along", delta.tobytes()), lamv, n, columns)
+        return float(self._real_connection(gram[0, 1], gram[0, 2].real))
 
     def gamma(self, lam, n):
         br = self.bracket_set(lam, n)
@@ -250,7 +288,7 @@ class GeometryEngine:
             qgt=g,
             qmt=g.real.copy(),
             berry_curvature=2.0 * g.imag,
-            berry_connection=(-1j * c + 0.25j * s).real,
+            berry_connection=_connection(c, s).real,
             quad_error=br["err"],
             fd_steps=br["fd_steps"],
         )
@@ -266,7 +304,7 @@ class GeometryEngine:
         n = as_quantum_number(n)
 
         def columns(*axes):
-            psi, dpsi, sigma = self._sample(lamv, n, axes)
+            psi, dpsi, sigma = self._sample(lamv, n, axes, range(lamv.size))
             return [psi, *(d - 0.25 * s * psi for d, s in zip(dpsi, sigma))]
 
         gram, _ = self.bracket("projector", lamv, n, columns)
@@ -425,9 +463,12 @@ def berry_phase_loop(psi, metric, domain, loop, n, cfg=None, in_domain=None,
     """Line integral of the connection around a closed polyline.
 
     The loop is a sequence of parameter points; it is closed automatically
-    when the last vertex differs from the first.  Each segment is
-    integrated adaptively; the connection is re-evaluated from fresh
-    brackets at every node.
+    when the last vertex differs from the first.  Each segment delta is
+    integrated adaptively, and at every node beta . delta comes from the
+    directional Gram of [psi, d_delta psi, sigma_delta psi]
+    (:meth:`GeometryEngine.berry_connection_along`), so an edge along one
+    parameter samples one derivative instead of all of them.  The
+    connection's imaginary-residue warning still applies at every node.
     """
     cfg = cfg or EngineConfig()
     pts = [param_values(p) for p in loop]
@@ -448,11 +489,8 @@ def berry_phase_loop(psi, metric, domain, loop, n, cfg=None, in_domain=None,
 
         def integrand(ts):
             ts = np.atleast_1d(ts)
-            out = np.empty(ts.shape, dtype=complex)
-            for i, t in enumerate(ts):
-                beta = engine.berry_connection(start + t * delta, n)
-                out[i] = float(beta @ delta)
-            return out
+            return np.array([engine.berry_connection_along(start + t * delta, n, delta)
+                             for t in ts])
 
         val, _ = integrate(integrand, Domain.interval(0.0, 1.0), seg_cfg)
         total += val.real

@@ -7,7 +7,10 @@ Two schemes back every curved inner product:
 * unbounded (or transform-tamed) axes use double-exponential rules
   (tanh-sinh, exp-sinh, sinh-sinh) refined by mesh halving.  The levels
   nest: each one evaluates only the nodes it adds and reuses the sum over
-  all earlier ones, and integrable endpoint behaviour is tolerated.
+  all earlier ones, and integrable endpoint behaviour is tolerated.  The
+  rule never stops before level 2, so levels 0-2 share one pass over the
+  level-2 mesh (one integrand call per 1-D axis) whose sum is split by the
+  level that adds each node; later levels take one pass each.
 
 Integrands receive physical coordinates as arrays, one argument per axis,
 and must return values broadcast to the same shape.  An integrand may be
@@ -41,6 +44,9 @@ from .core import (
 __all__ = ["QuadratureConfig", "GramColumns", "integrate", "integrate_2d_product"]
 
 _Q = math.pi / 2.0
+# first level at which the nested rules may stop; the change over level 1
+# is too coarse to serve as an error estimate
+_FIRST_STOP = 2
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,9 @@ class QuadratureConfig:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
+        if self.max_levels < _FIRST_STOP:
+            raise ValueError(f"max_levels must be at least {_FIRST_STOP}: "
+                             "the double-exponential rules cannot stop earlier")
 
     def tolerance(self, value):
         """Error allowed for a value, entry by entry for arrays."""
@@ -171,16 +180,21 @@ def _node_values(out, x, ny=None):
     return vals
 
 
-def _block_sum(f, x, wx, y=None, wy=None):
-    """Weighted sum of ``f`` over the nodes x, or over the grid x times y.
+def _block_sum(f, x, wx, y=None, wy=None, gx=None, gy=None):
+    """Weighted sums of ``f`` over the nodes x, or over the grid x times y.
 
+    ``gx`` (``gy``) labels each node of x (y) with a group 0, 1, ...; a grid
+    node belongs to the larger group of its two coordinates.  Label every
+    axis or none; no labels means one group.  Returns one sum per group.
     The integrand is called once per chunk of at most ``_CHUNK`` nodes
-    (whole rows of the grid in 2-D).
+    (whole rows of the grid in 2-D), whatever the groups.
     """
+    groups = 1 + max(0 if g is None else int(g.max()) for g in (gx, gy))
     step = max(1, _CHUNK // (1 if y is None else y.size))
-    total = 0.0
+    totals = [0.0] * groups
     for i in range(0, x.size, step):
         xs, w = x[i:i + step], wx[i:i + step]
+        g = None if gx is None else gx[i:i + step]
         if y is None:
             out = f(xs)
             vals = _node_values(out, xs)
@@ -188,39 +202,56 @@ def _block_sum(f, x, wx, y=None, wy=None):
             out = f(xs[:, None], y[None, :])
             vals = _node_values(out, xs, y.size)
             w = np.outer(w, wy).ravel()
-        if isinstance(out, GramColumns):
-            total = total + (vals.conj() * w) @ vals.T
-        else:
-            total = total + vals @ w
-    return total
+            if g is not None:
+                g = np.maximum.outer(g, gy).ravel()
+        gram = isinstance(out, GramColumns)
+        for j in range(groups):
+            v, wj = (vals, w) if groups == 1 else (vals[..., g == j], w[g == j])
+            totals[j] = totals[j] + ((v.conj() * wj) @ v.T if gram else v @ wj)
+    return totals
 
 
-def _axis_level(node_fn, t_cap: float, h: float, level: int):
-    """(x, w) at the mesh points a level adds: all of them at level 0,
-    the odd multiples of h after that."""
+def _axis_level(node_fn, t_cap: float, first: int, last: int):
+    """(x, w, group) at the nodes levels ``first`` to ``last`` add.
+
+    Level 0 holds every multiple of _H0 out to ``t_cap``; each later level
+    adds the odd multiples of its own step h = _H0 / 2^level.  On the mesh
+    of the last step, node k * h is added at the last level minus the
+    number of trailing zero bits of k (level 0 for k = 0); ``group`` is
+    that level minus ``first``.
+    """
+    h = _H0 / 2 ** last
     k_max = int(math.floor(t_cap / h))
     k = np.arange(-k_max, k_max + 1)
-    if level > 0:
-        k = k[k % 2 != 0]
-    return node_fn(k * h)
+    added = np.full(k.shape, last)
+    for j in range(1, last + 1):
+        added -= k % 2 ** j == 0
+    keep = added >= first
+    x, w = node_fn(k[keep] * h)
+    return x, w, added[keep] - first
 
 
-def _refine(level_sum, dim: int, cfg: QuadratureConfig, rule: str):
+def _refine(level_sums, dim: int, cfg: QuadratureConfig, rule: str):
     """Nested trapezoid refinement over the steps h = _H0 / 2^level.
 
-    ``level_sum(level, h)`` sums w * f over the nodes the level adds; the
-    earlier nodes keep their sum, scaled by 1/2 per axis as h halves.  The
-    error of each entry is its change over the last level, and the rule
-    stops once every entry is within tolerance (from level 2 on).
+    ``level_sums(first, last)`` returns, for each level from ``first`` to
+    ``last``, the sum of w * f over the nodes that level adds.  No level
+    before ``_FIRST_STOP`` can end the rule, so the first call asks for all
+    of them at once; each later call adds one level.  The earlier nodes keep
+    their sum, scaled by 1/2 per axis as h halves.  The error of each entry
+    is its change over the last level, and the rule stops once every entry
+    is within tolerance.
     """
+    sums = level_sums(0, _FIRST_STOP)
     h = _H0
-    acc = level_sum(0, h) * h ** dim
+    acc = sums[0] * h ** dim
     prev, err = acc, np.inf
     for level in range(1, cfg.max_levels + 1):
         h *= 0.5
-        acc = acc * 0.5 ** dim + level_sum(level, h) * h ** dim
+        s = sums[level] if level <= _FIRST_STOP else level_sums(level, level)[0]
+        acc = acc * 0.5 ** dim + s * h ** dim
         err = np.abs(acc - prev)
-        if level >= 2 and np.all(err <= cfg.tolerance(acc)):
+        if level >= _FIRST_STOP and np.all(err <= cfg.tolerance(acc)):
             return acc, err
         prev = acc
     raise QuadratureConvergenceError(
@@ -330,8 +361,12 @@ def integrate(f: Callable, domain: Domain, cfg: QuadratureConfig | None = None
             raise ValueError("gauss-kronrod scheme requires a plain finite axis")
         return _integrate_gk(f, axis.lo, axis.hi, cfg)
     node_fn, t_cap = _axis_node_maker(axis)
-    return _refine(lambda level, h: _block_sum(f, *_axis_level(node_fn, t_cap, h, level)),
-                   1, cfg, "double-exponential rule")
+
+    def level_sums(first, last):
+        x, w, group = _axis_level(node_fn, t_cap, first, last)
+        return _block_sum(f, x, w, gx=group)
+
+    return _refine(level_sums, 1, cfg, "double-exponential rule")
 
 
 def _as_axis(d) -> Axis:
@@ -363,16 +398,16 @@ def integrate_2d_product(f: Callable, domain_x, domain_y,
     nodes_y, cap_y = _axis_node_maker(ay)
     grid = []  # (x, wx, y, wy) of all nodes so far
 
-    def level_sum(level, h):
-        x, wx = _axis_level(nodes_x, cap_x, h, level)
-        y, wy = _axis_level(nodes_y, cap_y, h, level)
-        if level == 0:
+    def level_sums(first, last):
+        x, wx, gx = _axis_level(nodes_x, cap_x, first, last)
+        y, wy, gy = _axis_level(nodes_y, cap_y, first, last)
+        if first == 0:
             grid[:] = [x, wx, y, wy]
-            return _block_sum(f, x, wx, y, wy)
+            return _block_sum(f, x, wx, y, wy, gx, gy)
         x0, wx0, y0, wy0 = grid
         y_all, wy_all = np.concatenate([y0, y]), np.concatenate([wy0, wy])
-        total = _block_sum(f, x, wx, y_all, wy_all) + _block_sum(f, x0, wx0, y, wy)
+        total = _block_sum(f, x, wx, y_all, wy_all)[0] + _block_sum(f, x0, wx0, y, wy)[0]
         grid[:] = [np.concatenate([x0, x]), np.concatenate([wx0, wx]), y_all, wy_all]
-        return total
+        return [total]
 
-    return _refine(level_sum, 2, cfg, "product rule")
+    return _refine(level_sums, 2, cfg, "product rule")

@@ -5,6 +5,7 @@ from scipy import integrate as scipy_integrate
 from curvedqgt import geometry as geo
 from curvedqgt import models
 from curvedqgt.core import Domain, EngineError, ImaginaryResidueWarning, MetricFamily, WavefunctionFamily
+from curvedqgt.quadrature import QuadratureConfig, integrate
 
 from conftest import make_engine
 
@@ -434,6 +435,89 @@ def test_loop_degenerate_is_zero(generalized):
                                  generalized.domain_for(pts[0]), pts, (0,),
                                  in_domain=generalized.in_domain)
     assert abs(phase) < 1e-8
+
+
+def _closed(loop):
+    return list(zip(loop, loop[1:] + loop[:1]))
+
+
+def test_connection_along_matches_full_connection(generalized, engine_factory):
+    lam = np.array([1.1, 0.2, 1.3])
+    eng = engine_factory(generalized, lam)
+    beta = eng.berry_connection(lam, (1,))
+    for delta in ([0.0, 0.4, 0.0], [0.3, -0.2, 0.5], [-1.0, 0.0, 2.0]):
+        along = eng.berry_connection_along(lam, (1,), np.array(delta))
+        assert abs(along - beta @ delta) < 1e-14
+
+
+def test_loop_samples_only_the_segment_direction(generalized):
+    """Edges along b and c never differentiate in lambda."""
+    rhos = set()
+
+    def grad(lamv, n, rho, *axes):
+        rhos.add(rho)
+        return generalized.psi.analytic_param_grad(lamv, n, rho, *axes)
+
+    psi = WavefunctionFamily(dim=1, eval=generalized.psi.eval, analytic_param_grad=grad)
+    loop = [np.array([1.0, -0.3, 0.9]), np.array([1.0, 0.3, 0.9]),
+            np.array([1.0, 0.3, 1.4]), np.array([1.0, -0.3, 1.4])]
+    geo.berry_phase_loop(psi, generalized.metric, generalized.domain_for(loop[0]),
+                         loop, (0,), in_domain=generalized.in_domain)
+    assert rhos == {1, 2}
+
+
+def test_loop_with_diagonal_edges_matches_full_connection(generalized):
+    """A polygon whose edges move several parameters at once gives the phase
+    of the full connection contracted with each edge, on the same GK rule."""
+    loop = [np.array([0.9, -0.2, 1.1]), np.array([1.2, 0.1, 1.1]),
+            np.array([1.0, 0.2, 1.4])]
+    domain = generalized.domain_for(loop[0])
+    phase = geo.berry_phase_loop(generalized.psi, generalized.metric, domain,
+                                 loop, (0,), in_domain=generalized.in_domain)
+    cfg = geo.EngineConfig()
+    eng = geo.GeometryEngine(generalized.psi, generalized.metric, domain, cfg,
+                             in_domain=generalized.in_domain)
+    seg_cfg = QuadratureConfig(rel_tol=max(1e-7, cfg.quad.rel_tol),
+                               abs_tol=max(1e-9, cfg.quad.abs_tol),
+                               max_subdivisions=cfg.quad.max_subdivisions)
+    ref = 0.0
+    for start, end in _closed(loop):
+        delta = end - start
+
+        def integrand(ts):
+            return np.array([eng.berry_connection(start + t * delta, (0,)) @ delta
+                             for t in ts])
+
+        ref += integrate(integrand, Domain.interval(0.0, 1.0), seg_cfg)[0].real
+    assert abs(ref) > 1e-3
+    assert abs(phase - ref) < 1e-12
+
+
+def test_loop_phase_is_gauge_invariant(generalized):
+    loop = [np.array([0.8, -0.2, 1.2]), np.array([1.3, -0.2, 1.2]),
+            np.array([1.1, 0.3, 1.3])]
+    gauged = geo.gauge_transform(generalized.psi, lambda lv: 0.37 * lv[0] ** 2)
+    phases = [geo.berry_phase_loop(psi, generalized.metric,
+                                   generalized.domain_for(loop[0]), loop, (0,),
+                                   in_domain=generalized.in_domain)
+              for psi in (generalized.psi, gauged)]
+    assert abs(phases[0]) > 1e-3
+    assert abs(phases[1] - phases[0]) < 1e-10
+
+
+def test_loop_warns_on_imaginary_residue(anharmonic):
+    """A norm that drifts with lambda (psi scaled by 1.01 per unit) leaves an
+    imaginary residue in the connection along every lambda edge.  A constant
+    factor would not: the residue is -(1/2) d<psi|psi>."""
+    drifting = WavefunctionFamily(
+        dim=1,
+        eval=lambda lamv, n, x: 1.01 ** lamv[0] * anharmonic.psi.eval(lamv, n, x),
+    )
+    loop = [np.array([1.0, 1.0]), np.array([1.2, 1.0]),
+            np.array([1.2, 1.2]), np.array([1.0, 1.2])]
+    with pytest.warns(ImaginaryResidueWarning):
+        geo.berry_phase_loop(drifting, anharmonic.metric, anharmonic.domain_for(loop[0]),
+                             loop, (0,), in_domain=anharmonic.in_domain)
 
 
 # ---------------------------------------------------------------------------

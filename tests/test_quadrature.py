@@ -153,6 +153,15 @@ def test_config_validation():
         QuadratureConfig(max_subdivisions=0)
 
 
+@pytest.mark.parametrize("max_levels", [-1, 0, 1])
+def test_config_rejects_levels_the_rule_cannot_stop_at(max_levels):
+    # the nested rules never stop before level 2, whose mesh the first
+    # integrand call already covers
+    with pytest.raises(ValueError, match="max_levels"):
+        QuadratureConfig(max_levels=max_levels)
+    assert QuadratureConfig(max_levels=2).max_levels == 2
+
+
 def test_gk_subdivision_limit():
     cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15, max_subdivisions=4)
     with pytest.raises(QuadratureConvergenceError):
@@ -212,8 +221,54 @@ def test_2d_gram_columns_match_entrywise_integrals():
     assert abs(gram[0, 0] - math.pi) < 1e-12
 
 
+def _full_line_rule(level):
+    """Nodes and weights (h included) of the full-line DE trapezoid rule at
+    h = _H0 / 2^level, out to its t cap."""
+    node_fn, t_cap = quadrature._axis_node_maker(Domain.full_line().axes[0])
+    h = quadrature._H0 / 2 ** level
+    k_max = int(t_cap / h)
+    x, w = node_fn(np.arange(-k_max, k_max + 1) * h)
+    return x, h * w
+
+
+def _stop_level(integrator):
+    """First level at which the rule converges: it fails one level below."""
+    for level in range(2, 11):
+        try:
+            integrator(QuadratureConfig(max_levels=level))
+        except QuadratureConvergenceError:
+            continue
+        with pytest.raises(QuadratureConvergenceError):
+            integrator(QuadratureConfig(max_levels=level - 1))
+        return level
+    raise AssertionError("no convergence by level 10")
+
+
+def _same_nodes(got, want):
+    got, want = np.sort(got), np.sort(want)
+    return got.size == want.size and np.allclose(got, want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("freq", [1.0, 3.0, 6.0])
+def test_1d_calls_fuse_levels_0_to_2(freq):
+    """One call covers the level-2 mesh, then one call per level: a rule
+    that stops at level L calls the integrand L - 1 times."""
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        return np.exp(-x * x) * np.cos(freq * x)
+
+    stop = _stop_level(lambda cfg: integrate(f, Domain.full_line(), cfg))
+    seen.clear()
+    integrate(f, Domain.full_line(), CFG)
+    assert _same_nodes(seen[0], _full_line_rule(2)[0])
+    assert len(seen) == stop - 1
+
+
 def test_levels_nest_without_repeating_nodes():
-    """Each level evaluates only the nodes it adds, in bounded chunks."""
+    """The evaluated nodes are the final mesh (1-D) or the product of the
+    final meshes (2-D), each node once, in calls of at most ``_CHUNK``."""
     seen_1d, seen_2d = [], []
 
     def f1(x):
@@ -224,16 +279,46 @@ def test_levels_nest_without_repeating_nodes():
         seen_2d.append(np.broadcast_arrays(x, y))
         return np.exp(-x * x - y * y) * np.cos(3.0 * x * y)
 
+    stop_1d = _stop_level(lambda cfg: integrate(f1, Domain.full_line(), cfg))
+    stop_2d = _stop_level(lambda cfg: integrate_2d_product(
+        f2, Domain.full_line(), Domain.full_line(), cfg))
+    seen_1d.clear()
+    seen_2d.clear()
     integrate(f1, Domain.full_line(), CFG)
     integrate_2d_product(f2, Domain.full_line(), Domain.full_line(), CFG)
+
     nodes = np.concatenate(seen_1d)
     assert np.unique(nodes).size == nodes.size
-    assert len(seen_1d) >= 3
+    assert _same_nodes(nodes, _full_line_rule(stop_1d)[0])
     pairs = np.concatenate([np.stack([x.ravel(), y.ravel()], axis=1) for x, y in seen_2d])
     assert np.unique(pairs, axis=0).shape[0] == pairs.shape[0]
+    mesh = _full_line_rule(stop_2d)[0]
+    assert pairs.shape[0] == mesh.size ** 2
+    assert _same_nodes(np.unique(pairs[:, 0]), mesh)
+    assert _same_nodes(np.unique(pairs[:, 1]), mesh)
     chunk = quadrature._CHUNK
     assert max(v.size for v in seen_1d) <= chunk
     assert max(x.size for x, _ in seen_2d) <= chunk
+
+
+@pytest.mark.parametrize("cfg", [CFG, QuadratureConfig(rel_tol=0.2, abs_tol=0.05)],
+                         ids=["default", "stops-at-2"])
+def test_fused_levels_keep_value_and_error(cfg):
+    """Against plain trapezoid sums T_L on each whole mesh: the rule stops
+    at the first L >= 2 with |T_L - T_(L-1)| within tolerance and returns T_L
+    with that difference as its error, as if every level had its own call."""
+    f = lambda x: np.exp(-x * x) * np.cos(3.0 * x)  # noqa: E731
+    sums = []
+    for level in range(cfg.max_levels + 1):
+        x, w = _full_line_rule(level)
+        sums.append(np.sum(w * f(x)))
+    stop = next(level for level in range(2, cfg.max_levels + 1)
+                if abs(sums[level] - sums[level - 1]) <= cfg.tolerance(sums[level]))
+    val, err = integrate(f, Domain.full_line(), cfg)
+    assert abs(val - sums[stop]) < 1e-15
+    assert abs(err - abs(sums[stop] - sums[stop - 1])) < 1e-15
+    if cfg is not CFG:
+        assert stop == 2
 
 
 def test_array_nonconvergence_reports_worst_entry():
