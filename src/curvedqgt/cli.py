@@ -2,8 +2,11 @@
 
 Subcommands: ``compute``, ``sweep``, ``validate``, ``spectrum``,
 ``phase-portrait``.  All numeric output is emitted as CSV (17 significant
-digits, lossless round-trip) or JSON lines; a JSON config file can mirror
-every flag, with explicit flags taking precedence.
+digits, lossless round-trip) or JSON lines.  Every command takes
+``--config <file>``: a JSON object whose keys are flag or option names
+(``n``, ``grid-size``, ``n_str``), plus ``params`` and ``grid``, that
+fills the defaults of the command's options; flags win, and a bad file or
+value exits 2.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numerical
 failure.
@@ -23,7 +26,7 @@ from . import fidelity as fid
 from . import geometry as geo
 from . import models as mdl
 from . import spectrum as spec
-from .core import EngineError, validate_model
+from .core import EngineError
 from .diffops import FdConfig
 from .quadrature import QuadratureConfig
 
@@ -51,24 +54,45 @@ def _fail(code: int, kind: str, message: str):
     raise SystemExit(code)
 
 
-def _load_config(path):
-    if not path:
-        return {}
-    with open(path) as fh:
-        return json.load(fh)
+def _read_config(ctx, param, path):
+    """``--config`` callback: the JSON file becomes ``ctx.default_map``.
 
-
-def _cfg_value(ctx, config, name, value):
-    """Flags override the config file; config overrides click defaults."""
-    src = ctx.get_parameter_source(name)
-    if src is not None and src.name != "DEFAULT":
-        return value
-    key = name.replace("_", "-")
-    if key in config:
-        return config[key]
-    if name in config:
-        return config[name]
-    return value
+    A key names an option by its flag (``n``, ``format``, ``grid-size``)
+    or its option name (``n_str``, ``fmt``, with dashes or underscores).
+    ``params`` maps parameter names to values and ``grid`` maps them to
+    ``{"min", "max", "count", "scale"}``.  A list is comma-joined for a
+    single-valued option and repeats a repeatable one.  Keys naming no
+    option of the command are ignored, so one file can serve several
+    commands.
+    """
+    if path is None:
+        return
+    options = {key: p for p in ctx.command.params if p is not param
+               for key in (*(o.lstrip("-") for o in p.opts), p.name,
+                           p.name.replace("_", "-"))}
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise TypeError("expected a JSON object")
+        if isinstance(config.get("grid"), dict):
+            config["grid"] = [
+                f"{name}={g['min']}:{g['max']}:{g['count']}:{g.get('scale', 'linear')}"
+                for name, g in config["grid"].items()
+            ]
+        entries = [*config.items(),
+                   *((f"p_{name}", v) for name, v in (config.get("params") or {}).items())]
+    except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+        raise click.BadParameter(f"cannot read {path}: {exc!r}", ctx, param)
+    defaults = {}
+    for key, value in entries:
+        p = options.get(key)
+        if p is None or value is None:
+            continue
+        if isinstance(value, list) and not p.multiple:
+            value = ",".join(map(str, value))
+        defaults[p.name] = value
+    ctx.default_map = defaults
 
 
 def common_options(fn):
@@ -80,7 +104,8 @@ def common_options(fn):
     fn = click.option("--out", "out", default="-",
                       help="output path or '-' for stdout")(fn)
     fn = click.option("--config", "config_path", default=None,
-                      type=click.Path(exists=True), help="JSON config mirroring flags")(fn)
+                      type=click.Path(exists=True), help="JSON config mirroring flags",
+                      is_eager=True, expose_value=False, callback=_read_config)(fn)
     fn = click.option("--jobs", type=int, default=1, show_default=True)(fn)
     fn = click.option("--quad-rel-tol", type=float, default=1e-10,
                       show_default=True)(fn)
@@ -109,26 +134,47 @@ def _get_model(name, hbar):
         )
 
 
-def _collect_params(model, flag_values: dict, config: dict) -> np.ndarray:
-    conf_params = config.get("params", {})
-    values = []
+def _fixed_params(model, param_flags, swept=()) -> dict:
+    """Model parameters from their ``--<name>`` flags, in model order,
+    leaving out the ``swept`` ones."""
+    fixed = {}
     for name in model.parameter_names:
-        v = flag_values.get(name)
-        if v is None:
-            v = conf_params.get(name)
+        if name in swept:
+            continue
+        v = param_flags[f"p_{name}"]
         if v is None:
             raise click.UsageError(
                 f"model {model.name} needs --{name} (parameters: "
                 f"{', '.join(model.parameter_names)})"
             )
-        values.append(float(v))
-    lamv = np.array(values)
+        fixed[name] = v
+    return fixed
+
+
+def _param_point(model, param_flags) -> np.ndarray:
+    lamv = np.array(list(_fixed_params(model, param_flags).values()))
     if not model.check_in_domain(lamv):
         raise click.UsageError(
-            f"parameters {dict(zip(model.parameter_names, values))} lie outside "
-            f"the domain of {model.name}"
+            f"parameters {dict(zip(model.parameter_names, lamv.tolist()))} lie "
+            f"outside the domain of {model.name}"
         )
     return lamv
+
+
+def _parse_n(model, text) -> tuple:
+    """Quantum number from ``--n`` ("0" or "0,1"); the ground state if unset."""
+    if not text:
+        return (0,) * model.dim
+    try:
+        n = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise click.UsageError(f"bad --n '{text}'; expected comma-separated integers")
+    if len(n) != model.dim:
+        raise click.UsageError(
+            f"model {model.name} expects a {model.dim}-component quantum "
+            f"number, got --n {text}"
+        )
+    return n
 
 
 def _parse_quantities(text, model, default=("qmt", "berry_curvature",
@@ -136,7 +182,7 @@ def _parse_quantities(text, model, default=("qmt", "berry_curvature",
     if not text:
         return list(default)
     out = []
-    for item in str(text).split(","):
+    for item in text.split(","):
         item = item.strip()
         if not item:
             continue
@@ -328,31 +374,12 @@ def main():
 @click.option("--quantities", "quantities_str", default=None,
               help="comma list from qmt,qgt,berry_curvature,berry_connection,"
                    "det,subdet:<param>,fidelity_chi")
-@click.pass_context
-def cmd_compute(ctx, model_name, hbar, fmt, out, config_path, jobs,
-                quad_rel_tol, fd_step, n_str, quantities_str, **param_flags):
+def cmd_compute(model_name, hbar, fmt, out, jobs, quad_rel_tol, fd_step,
+                n_str, quantities_str, **param_flags):
     """One record of requested tensors at a single parameter point."""
-    config = _load_config(config_path)
-    model_name = _cfg_value(ctx, config, "model_name", model_name) or config.get("model")
-    hbar = float(_cfg_value(ctx, config, "hbar", hbar))
-    fmt = _cfg_value(ctx, config, "fmt", fmt) or config.get("format") or "jsonl"
-    quad_rel_tol = float(_cfg_value(ctx, config, "quad_rel_tol", quad_rel_tol))
-    fd_step = float(_cfg_value(ctx, config, "fd_step", fd_step))
-    n_str = _cfg_value(ctx, config, "n_str", n_str)
-    quantities_str = _cfg_value(ctx, config, "quantities_str", quantities_str) \
-        or config.get("quantities")
-
     model = _get_model(model_name, hbar)
-    flags = {name: param_flags.get(f"p_{name}") for name in _PARAM_FLAGS}
-    lamv = _collect_params(model, flags, config)
-    n = tuple(int(v) for v in str(n_str).split(","))
-    if len(n) != model.dim:
-        raise click.UsageError(
-            f"model {model.name} expects a {model.dim}-component quantum "
-            f"number, got --n {n_str}"
-        )
-    if isinstance(quantities_str, (list, tuple)):
-        quantities_str = ",".join(quantities_str)
+    lamv = _param_point(model, param_flags)
+    n = _parse_n(model, n_str)
     quantities = _parse_quantities(quantities_str, model)
     cfg = _engine_config(quad_rel_tol, fd_step)
 
@@ -360,7 +387,7 @@ def cmd_compute(ctx, model_name, hbar, fmt, out, config_path, jobs,
         rec = _point_record(model, lamv, n, quantities, cfg)
     except EngineError as exc:
         _fail(3, type(exc).__name__, str(exc))
-    if fmt == "jsonl":
+    if (fmt or "jsonl") == "jsonl":
         _emit([json.dumps(rec, sort_keys=True)], out)
     else:
         header = _csv_header(model, quantities)
@@ -373,53 +400,17 @@ def cmd_compute(ctx, model_name, hbar, fmt, out, config_path, jobs,
               help="name=min:max:count[:scale], repeatable")
 @click.option("--n", "n_str", default="0", show_default=True)
 @click.option("--quantities", "quantities_str", default=None)
-@click.pass_context
-def cmd_sweep(ctx, model_name, hbar, fmt, out, config_path, jobs,
-              quad_rel_tol, fd_step, grid_specs, n_str, quantities_str,
-              **param_flags):
+def cmd_sweep(model_name, hbar, fmt, out, jobs, quad_rel_tol, fd_step,
+              grid_specs, n_str, quantities_str, **param_flags):
     """Tensor table over a parameter grid, row order independent of --jobs."""
-    config = _load_config(config_path)
-    model_name = _cfg_value(ctx, config, "model_name", model_name) or config.get("model")
-    hbar = float(_cfg_value(ctx, config, "hbar", hbar))
-    fmt = _cfg_value(ctx, config, "fmt", fmt) or config.get("format") or "csv"
-    jobs = int(_cfg_value(ctx, config, "jobs", jobs))
-    quad_rel_tol = float(_cfg_value(ctx, config, "quad_rel_tol", quad_rel_tol))
-    fd_step = float(_cfg_value(ctx, config, "fd_step", fd_step))
-    n_str = _cfg_value(ctx, config, "n_str", n_str)
-    quantities_str = _cfg_value(ctx, config, "quantities_str", quantities_str) \
-        or config.get("quantities")
-    if not grid_specs and "grid" in config:
-        grid_specs = [
-            f"{name}={g['min']}:{g['max']}:{g['count']}:{g.get('scale', 'linear')}"
-            for name, g in config["grid"].items()
-        ]
-
     model = _get_model(model_name, hbar)
     grids = _parse_grid(grid_specs)
     for name in grids:
         if name not in model.parameter_names:
             raise click.UsageError(f"grid parameter '{name}' not in "
                                    f"{model.parameter_names}")
-    fixed = {}
-    conf_params = config.get("params", {})
-    for name in model.parameter_names:
-        if name in grids:
-            continue
-        v = param_flags.get(f"p_{name}")
-        if v is None:
-            v = conf_params.get(name)
-        if v is None:
-            raise click.UsageError(f"parameter '{name}' needs a fixed value or a grid")
-        fixed[name] = float(v)
-
-    n = tuple(int(v) for v in str(n_str).split(","))
-    if len(n) != model.dim:
-        raise click.UsageError(
-            f"model {model.name} expects a {model.dim}-component quantum "
-            f"number, got --n {n_str}"
-        )
-    if isinstance(quantities_str, (list, tuple)):
-        quantities_str = ",".join(quantities_str)
+    fixed = _fixed_params(model, param_flags, swept=grids)
+    n = _parse_n(model, n_str)
     quantities = tuple(_parse_quantities(quantities_str, model))
 
     swept = [nm for nm in model.parameter_names if nm in grids]
@@ -465,15 +456,11 @@ def cmd_sweep(ctx, model_name, hbar, fmt, out, config_path, jobs,
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--route-tol", type=float, default=1e-4, show_default=True)
 @click.option("--mis-normalize", type=float, default=1.0, hidden=True)
-@click.pass_context
-def cmd_validate(ctx, model_name, hbar, fmt, out, config_path, jobs,
-                 quad_rel_tol, fd_step, n_str, samples, seed, route_tol,
-                 mis_normalize, **param_flags):
+def cmd_validate(model_name, hbar, fmt, out, jobs, quad_rel_tol, fd_step,
+                 n_str, samples, seed, route_tol, mis_normalize, **param_flags):
     """Dual-route, gauge, and normalization checks; exit 1 on failure."""
-    config = _load_config(config_path)
-    model_name = _cfg_value(ctx, config, "model_name", model_name) or config.get("model")
-    hbar = float(_cfg_value(ctx, config, "hbar", hbar))
     model = _get_model(model_name, hbar)
+    n = _parse_n(model, n_str)
     cfg = _engine_config(quad_rel_tol, fd_step)
 
     psi = model.psi
@@ -489,13 +476,8 @@ def cmd_validate(ctx, model_name, hbar, fmt, out, config_path, jobs,
             ),
         )
 
-    n = (0,) * model.dim
-    if n_str:
-        n = tuple(int(v) for v in str(n_str).split(","))
-
-    flags = {name: param_flags.get(f"p_{name}") for name in _PARAM_FLAGS}
-    if any(v is not None for v in flags.values()) or config.get("params"):
-        points = [_collect_params(model, flags, config)]
+    if any(v is not None for v in param_flags.values()):
+        points = [_param_point(model, param_flags)]
     else:
         rng = np.random.default_rng(seed)
         points = [model.sample_parameters(rng) for _ in range(samples)]
@@ -573,17 +555,11 @@ def cmd_validate(ctx, model_name, hbar, fmt, out, config_path, jobs,
 @click.option("--k", type=int, default=4, show_default=True,
               help="number of levels")
 @click.option("--grid-size", type=int, default=2000, show_default=True)
-@click.pass_context
-def cmd_spectrum(ctx, model_name, hbar, fmt, out, config_path, jobs,
-                 quad_rel_tol, fd_step, k, grid_size, **param_flags):
+def cmd_spectrum(model_name, hbar, fmt, out, jobs, quad_rel_tol, fd_step,
+                 k, grid_size, **param_flags):
     """Lowest k levels of the curved-space operator: (n, E_n, residual)."""
-    config = _load_config(config_path)
-    model_name = _cfg_value(ctx, config, "model_name", model_name) or config.get("model")
-    hbar = float(_cfg_value(ctx, config, "hbar", hbar))
-    fmt = _cfg_value(ctx, config, "fmt", fmt) or config.get("format") or "csv"
     model = _get_model(model_name, hbar)
-    flags = {name: param_flags.get(f"p_{name}") for name in _PARAM_FLAGS}
-    lamv = _collect_params(model, flags, config)
+    lamv = _param_point(model, param_flags)
     try:
         levels = spec.model_spectrum(model, lamv, k, n_points=grid_size)
     except EngineError as exc:
@@ -604,18 +580,11 @@ def cmd_spectrum(ctx, model_name, hbar, fmt, out, config_path, jobs,
 @click.option("--levels", type=int, default=0,
               help="emit this many automatic energies 0.5, 1.0, ...")
 @click.option("--samples", type=int, default=200, show_default=True)
-@click.pass_context
-def cmd_phase_portrait(ctx, model_name, hbar, fmt, out, config_path, jobs,
-                       quad_rel_tol, fd_step, energies, levels, samples,
-                       **param_flags):
+def cmd_phase_portrait(model_name, hbar, fmt, out, jobs, quad_rel_tol, fd_step,
+                       energies, levels, samples, p_omega, p_lambda, **param_flags):
     """Classical level sets of the exponential-metric system."""
-    config = _load_config(config_path)
-    fmt = _cfg_value(ctx, config, "fmt", fmt) or config.get("format") or "csv"
-    omega = param_flags.get("p_omega")
-    lam = param_flags.get("p_lambda")
-    conf_params = config.get("params", {})
-    omega = float(omega if omega is not None else conf_params.get("omega", 1.0))
-    lam = float(lam if lam is not None else conf_params.get("lambda", 1.0))
+    omega = 1.0 if p_omega is None else p_omega
+    lam = 1.0 if p_lambda is None else p_lambda
     if lam == 0:
         raise click.UsageError("the phase portrait needs lambda != 0")
 

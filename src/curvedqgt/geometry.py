@@ -60,12 +60,6 @@ __all__ = [
     "GeometryEngine",
     "state_of",
     "inner_product",
-    "sigma_expectation",
-    "berry_connection",
-    "qmt",
-    "berry_curvature",
-    "qgt",
-    "qgt_projector_oracle",
     "gauge_transform",
     "reparameterize",
     "berry_phase_loop",
@@ -89,6 +83,13 @@ def _connection(c, s):
     entry or along one direction; the imaginary part is a residue that
     vanishes for a normalized family."""
     return -1j * c + 0.25j * s
+
+
+def _integrate(f, domain: Domain, quad: QuadratureConfig):
+    """One integration over the domain: the 1-D rule or the 2-D product rule."""
+    if domain.dim == 1:
+        return integrate(f, domain, quad)
+    return integrate_2d_product(f, domain.axes[0], domain.axes[1], quad)
 
 
 class BracketCache(LruCache):
@@ -134,13 +135,6 @@ class GeometryEngine:
 
     # -- integrand plumbing -------------------------------------------------
 
-    def _integrate(self, f):
-        if self.domain.dim == 1:
-            return integrate(f, self.domain, self.cfg.quad)
-        return integrate_2d_product(
-            f, self.domain.axes[0], self.domain.axes[1], self.cfg.quad
-        )
-
     def _sample(self, lamv, n, axes, rs):
         """psi, [d_r psi] and [sigma_r] for the parameters r in ``rs`` at the
         given nodes."""
@@ -173,7 +167,7 @@ class GeometryEngine:
             return (cols * np.sqrt(metric.sqrt_det(lamv, *axes))).view(GramColumns)
 
         def compute():
-            gram, err = self._integrate(integrand)
+            gram, err = _integrate(integrand, self.domain, self.cfg.quad)
             gram.flags.writeable = False
             err.flags.writeable = False
             return gram, err
@@ -328,38 +322,7 @@ def inner_product(phi_state: Callable, psi_state: Callable,
         return w * np.conj(np.asarray(phi_state(lamv, *axes))) \
             * np.asarray(psi_state(lamv, *axes))
 
-    if domain.dim == 1:
-        return integrate(f, domain, cfg.quad)
-    return integrate_2d_product(f, domain.axes[0], domain.axes[1], cfg.quad)
-
-
-def _engine(psi, metric, domain, cfg, in_domain=None) -> GeometryEngine:
-    return GeometryEngine(psi, metric, domain, cfg, in_domain=in_domain)
-
-
-def sigma_expectation(psi, metric, domain, lam, n, rho,
-                      cfg=None, in_domain=None) -> float:
-    return _engine(psi, metric, domain, cfg, in_domain).sigma_expectation(lam, n, rho)
-
-
-def berry_connection(psi, metric, domain, lam, n, cfg=None, in_domain=None):
-    return _engine(psi, metric, domain, cfg, in_domain).berry_connection(lam, n)
-
-
-def qmt(psi, metric, domain, lam, n, cfg=None, in_domain=None):
-    return _engine(psi, metric, domain, cfg, in_domain).qmt(lam, n)
-
-
-def berry_curvature(psi, metric, domain, lam, n, cfg=None, in_domain=None):
-    return _engine(psi, metric, domain, cfg, in_domain).berry_curvature(lam, n)
-
-
-def qgt(psi, metric, domain, lam, n, cfg=None, in_domain=None) -> GeometricTensors:
-    return _engine(psi, metric, domain, cfg, in_domain).qgt(lam, n)
-
-
-def qgt_projector_oracle(psi, metric, domain, lam, n, cfg=None, in_domain=None):
-    return _engine(psi, metric, domain, cfg, in_domain).qgt_projector_oracle(lam, n)
+    return _integrate(f, domain, cfg.quad)
 
 
 # ---------------------------------------------------------------------------

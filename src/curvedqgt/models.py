@@ -396,20 +396,18 @@ def morse_like(hbar: float = 1.0) -> ModelSpec:
         left_boundaries=("neumann",),
     )
 
-    refs = {
-        "qmt_ll": lambda n, lamv: morse_g_ll(lamv[0], lamv[1], hbar),
-        "qmt_ww": lambda n, lamv: 1.0 / (8.0 * lamv[1] ** 2),
-        "berry_curvature": lambda n, lamv: np.zeros((2, 2)),
-        "energy": lambda n, lamv: 0.5 * hbar * lamv[1] if n[0] == 0 else None,
-        "norm_const": lambda n, lamv: math.sqrt(2.0) * (lamv[1] / (math.pi * hbar)) ** 0.25,
-    }
-
     def ref_energy(n, lamv):
         if n[0] != 0:
             raise NoAnalyticReferenceError("morse-like energies known for n=0 only")
         return 0.5 * hbar * lamv[1]
 
-    refs["energy"] = ref_energy
+    refs = {
+        "qmt_ll": lambda n, lamv: morse_g_ll(lamv[0], lamv[1], hbar),
+        "qmt_ww": lambda n, lamv: 1.0 / (8.0 * lamv[1] ** 2),
+        "berry_curvature": lambda n, lamv: np.zeros((2, 2)),
+        "energy": ref_energy,
+        "norm_const": lambda n, lamv: math.sqrt(2.0) * (lamv[1] / (math.pi * hbar)) ** 0.25,
+    }
 
     return ModelSpec(
         name="morse-like",

@@ -211,6 +211,97 @@ def test_config_file_mirrors_flags(runner, tmp_path):
     assert rec["params"]["omega"] == 2.0
 
 
+
+def _with_config(runner, tmp_path, args, config):
+    """Run ``args`` plus a config file holding ``config``."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    return runner.invoke(main, args + ["--config", str(path)])
+
+
+def _assert_config_matches_flags(runner, tmp_path, args, config, flags):
+    by_flag = runner.invoke(main, args + flags)
+    by_file = _with_config(runner, tmp_path, args, config)
+    assert by_file.exit_code == by_flag.exit_code
+    assert by_file.stdout == by_flag.stdout
+    return by_file
+
+
+ANHARMONIC = ["--model", "anharmonic-1d", "--lambda", "1", "--omega", "1"]
+
+
+def test_config_n_matches_flag_in_compute(runner, tmp_path):
+    result = _assert_config_matches_flags(
+        runner, tmp_path, ["compute", *ANHARMONIC, "--quantities", "qmt"],
+        {"n": "1"}, ["--n", "1"])
+    assert json.loads(result.stdout)["n"] == [1]
+
+
+def test_config_n_matches_flag_in_sweep(runner, tmp_path):
+    args = ["sweep", "--model", "coupled-anharmonic-2d", "--k1", "1", "--a", "1",
+            "--b", "1", "--grid", "k2=0.5:1:2", "--quantities", "qmt",
+            "--format", "jsonl"]
+    result = _assert_config_matches_flags(runner, tmp_path, args,
+                                          {"n": [0, 1]}, ["--n", "0,1"])
+    assert [json.loads(line)["n"] for line in result.stdout.splitlines()] \
+        == [[0, 1], [0, 1]]
+
+
+def test_config_k_and_grid_size_match_flags_in_spectrum(runner, tmp_path):
+    result = _assert_config_matches_flags(
+        runner, tmp_path, ["spectrum", *ANHARMONIC],
+        {"k": 2, "grid-size": 400}, ["--k", "2", "--grid-size", "400"])
+    assert len(list(csv.DictReader(io.StringIO(result.stdout)))) == 2
+
+
+def test_config_route_tol_matches_flag_in_validate(runner, tmp_path):
+    result = _assert_config_matches_flags(
+        runner, tmp_path, ["validate", *ANHARMONIC],
+        {"route-tol": 1e-30}, ["--route-tol", "1e-30"])
+    assert result.exit_code == 1
+    assert json.loads(result.stdout)["checks"]["route_equivalence"]["tolerance"] == 1e-30
+
+
+def test_config_samples_and_energy_match_flags_in_phase_portrait(runner, tmp_path):
+    result = _assert_config_matches_flags(
+        runner, tmp_path, ["phase-portrait", "--format", "jsonl"],
+        {"samples": 10, "energy": [0.5, 1.0]},
+        ["--samples", "10", "--energy", "0.5", "--energy", "1.0"])
+    recs = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [r["energy"] for r in recs] == [0.5, 1.0]
+    assert all(len(r["points"]) == 20 for r in recs)
+
+
+def test_flag_beats_config_for_options(runner, tmp_path):
+    # --k and --format come from the flags, --grid-size from the file
+    args = ["spectrum", *ANHARMONIC, "--k", "3", "--format", "jsonl"]
+    result = _with_config(runner, tmp_path, args,
+                          {"k": 2, "grid-size": 400, "format": "csv"})
+    assert result.exit_code == 0
+    assert result.stdout == runner.invoke(main, args + ["--grid-size", "400"]).stdout
+    assert [json.loads(line)["n"] for line in result.stdout.splitlines()] == [0, 1, 2]
+
+
+def test_config_non_numeric_parameter_exits_2(runner, tmp_path):
+    result = _with_config(runner, tmp_path, ["compute", "--model", "anharmonic-1d"],
+                          {"params": {"lambda": "one", "omega": 1.0}})
+    assert result.exit_code == 2
+    assert "--lambda" in result.output
+
+
+def test_config_malformed_json_exits_2(runner, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text("{\"model\": ")
+    result = runner.invoke(main, ["compute", "--config", str(path)])
+    assert result.exit_code == 2
+
+
+def test_validate_quantum_number_components_exit_2(runner):
+    result = runner.invoke(main, ["validate", *ANHARMONIC, "--n", "0,0"])
+    assert result.exit_code == 2
+    assert "1-component quantum number" in result.output
+
+
 def test_validate_passes_on_anharmonic(runner):
     result = _invoke(runner, [
         "validate", "--model", "anharmonic-1d", "--lambda", "1", "--omega", "1",

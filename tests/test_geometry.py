@@ -528,9 +528,9 @@ def test_parameter_point_api(anharmonic):
     from curvedqgt.core import ParameterPoint
 
     point = ParameterPoint((1.0, 1.0), ("lambda", "omega"))
-    G = geo.qmt(anharmonic.psi, anharmonic.metric,
-                anharmonic.domain_for(point), point, 0,
-                in_domain=anharmonic.in_domain)
+    G = geo.GeometryEngine(anharmonic.psi, anharmonic.metric,
+                           anharmonic.domain_for(point),
+                           in_domain=anharmonic.in_domain).qmt(point, 0)
     assert np.max(np.abs(G - 0.125)) < 1e-8
 
 
