@@ -1,12 +1,12 @@
 """Command-line front end: single points, sweeps, validation, spectra.
 
 Subcommands: ``compute``, ``sweep``, ``validate``, ``spectrum``,
-``phase-portrait``.  All numeric output is emitted as CSV (17 significant
-digits, lossless round-trip) or JSON lines.  Every command takes
-``--config <file>``: a JSON object whose keys are flag or option names
-(``n``, ``grid-size``, ``n_str``), plus ``params`` and ``grid``, that
-fills the defaults of the command's options; flags win, and a bad file or
-value exits 2.
+``phase-portrait``, each taking only the options it reads.  All numeric
+output is emitted as CSV (17 significant digits, lossless round-trip) or
+JSON lines.  Every command takes ``--config <file>``: a JSON object whose
+keys are flag or option names (``n``, ``grid-size``, ``n_str``), plus
+``params`` and ``grid``, that fills the defaults of the command's options;
+flags win, and a bad file or value exits 2.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 numerical
 failure.
@@ -95,24 +95,39 @@ def _read_config(ctx, param, path):
     ctx.default_map = defaults
 
 
-def common_options(fn):
-    fn = click.option("--model", "model_name", default=None,
-                      help="registered model name")(fn)
-    fn = click.option("--hbar", type=float, default=1.0, show_default=True)(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]),
-                      default=None)(fn)
-    fn = click.option("--out", "out", default="-",
-                      help="output path or '-' for stdout")(fn)
-    fn = click.option("--config", "config_path", default=None,
-                      type=click.Path(exists=True), help="JSON config mirroring flags",
-                      is_eager=True, expose_value=False, callback=_read_config)(fn)
-    fn = click.option("--jobs", type=int, default=1, show_default=True)(fn)
-    fn = click.option("--quad-rel-tol", type=float, default=1e-10,
-                      show_default=True)(fn)
-    fn = click.option("--fd-step", type=float, default=1e-4, show_default=True)(fn)
-    for name in reversed(_PARAM_FLAGS):
-        fn = click.option(f"--{name}", f"p_{name}", type=float, default=None)(fn)
-    return fn
+def _options(*decorators):
+    """One decorator adding ``decorators``' options in the listed order."""
+    def apply(fn):
+        for dec in reversed(decorators):
+            fn = dec(fn)
+        return fn
+    return apply
+
+
+def _param_options(names):
+    return _options(*(click.option(f"--{name}", f"p_{name}", type=float, default=None)
+                      for name in names))
+
+
+# every command writes output and reads --config; the other groups go only
+# to the commands that read them, so click rejects the rest
+io_options = _options(
+    click.option("--out", "out", default="-", help="output path or '-' for stdout"),
+    click.option("--config", "config_path", default=None,
+                 type=click.Path(exists=True), help="JSON config mirroring flags",
+                 is_eager=True, expose_value=False, callback=_read_config),
+)
+format_option = click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]),
+                             default=None)
+model_options = _options(
+    click.option("--model", "model_name", default=None, help="registered model name"),
+    click.option("--hbar", type=float, default=1.0, show_default=True),
+    _param_options(_PARAM_FLAGS),
+)
+engine_options = _options(
+    click.option("--quad-rel-tol", type=float, default=1e-10, show_default=True),
+    click.option("--fd-step", type=float, default=1e-4, show_default=True),
+)
 
 
 def _engine_config(quad_rel_tol: float, fd_step: float) -> geo.EngineConfig:
@@ -368,13 +383,16 @@ def main():
 
 
 @main.command("compute")
-@common_options
+@model_options
+@engine_options
+@format_option
+@io_options
 @click.option("--n", "n_str", default="0", show_default=True,
               help="quantum number (comma-separated for 2-D)")
 @click.option("--quantities", "quantities_str", default=None,
               help="comma list from qmt,qgt,berry_curvature,berry_connection,"
                    "det,subdet:<param>,fidelity_chi")
-def cmd_compute(model_name, hbar, fmt, out, jobs, quad_rel_tol, fd_step,
+def cmd_compute(model_name, hbar, quad_rel_tol, fd_step, fmt, out,
                 n_str, quantities_str, **param_flags):
     """One record of requested tensors at a single parameter point."""
     model = _get_model(model_name, hbar)
@@ -395,12 +413,16 @@ def cmd_compute(model_name, hbar, fmt, out, jobs, quad_rel_tol, fd_step,
 
 
 @main.command("sweep")
-@common_options
+@model_options
+@engine_options
+@click.option("--jobs", type=int, default=1, show_default=True)
+@format_option
+@io_options
 @click.option("--grid", "grid_specs", multiple=True,
               help="name=min:max:count[:scale], repeatable")
 @click.option("--n", "n_str", default="0", show_default=True)
 @click.option("--quantities", "quantities_str", default=None)
-def cmd_sweep(model_name, hbar, fmt, out, jobs, quad_rel_tol, fd_step,
+def cmd_sweep(model_name, hbar, quad_rel_tol, fd_step, jobs, fmt, out,
               grid_specs, n_str, quantities_str, **param_flags):
     """Tensor table over a parameter grid, row order independent of --jobs."""
     model = _get_model(model_name, hbar)
@@ -450,13 +472,15 @@ def cmd_sweep(model_name, hbar, fmt, out, jobs, quad_rel_tol, fd_step,
 
 
 @main.command("validate")
-@common_options
+@model_options
+@engine_options
+@io_options
 @click.option("--n", "n_str", default=None, help="quantum number")
 @click.option("--samples", type=int, default=5, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--route-tol", type=float, default=1e-4, show_default=True)
 @click.option("--mis-normalize", type=float, default=1.0, hidden=True)
-def cmd_validate(model_name, hbar, fmt, out, jobs, quad_rel_tol, fd_step,
+def cmd_validate(model_name, hbar, quad_rel_tol, fd_step, out,
                  n_str, samples, seed, route_tol, mis_normalize, **param_flags):
     """Dual-route, gauge, and normalization checks; exit 1 on failure."""
     model = _get_model(model_name, hbar)
@@ -551,12 +575,13 @@ def cmd_validate(model_name, hbar, fmt, out, jobs, quad_rel_tol, fd_step,
 
 
 @main.command("spectrum")
-@common_options
+@model_options
+@format_option
+@io_options
 @click.option("--k", type=int, default=4, show_default=True,
               help="number of levels")
 @click.option("--grid-size", type=int, default=2000, show_default=True)
-def cmd_spectrum(model_name, hbar, fmt, out, jobs, quad_rel_tol, fd_step,
-                 k, grid_size, **param_flags):
+def cmd_spectrum(model_name, hbar, fmt, out, k, grid_size, **param_flags):
     """Lowest k levels of the curved-space operator: (n, E_n, residual)."""
     model = _get_model(model_name, hbar)
     lamv = _param_point(model, param_flags)
@@ -574,14 +599,15 @@ def cmd_spectrum(model_name, hbar, fmt, out, jobs, quad_rel_tol, fd_step,
 
 
 @main.command("phase-portrait")
-@common_options
+@_param_options(("lambda", "omega"))
+@format_option
+@io_options
 @click.option("--energy", "energies", multiple=True, type=float,
               help="level-set energies, repeatable")
 @click.option("--levels", type=int, default=0,
               help="emit this many automatic energies 0.5, 1.0, ...")
 @click.option("--samples", type=int, default=200, show_default=True)
-def cmd_phase_portrait(model_name, hbar, fmt, out, jobs, quad_rel_tol, fd_step,
-                       energies, levels, samples, p_omega, p_lambda, **param_flags):
+def cmd_phase_portrait(p_lambda, p_omega, fmt, out, energies, levels, samples):
     """Classical level sets of the exponential-metric system."""
     omega = 1.0 if p_omega is None else p_omega
     lam = 1.0 if p_lambda is None else p_lambda

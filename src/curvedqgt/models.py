@@ -10,6 +10,13 @@ flat harmonic oscillator used for flat-limit and solver sanity checks:
   the one family here with nonzero Berry curvature.
 * ``flat-oscillator-1d``   g = 1, textbook oscillator.
 
+The three Hermite families share one kernel, ``_oscillator``: the flat
+oscillator state psi_n(u) in a flat coordinate u, the proper length
+u = int sqrt(g) dx.  The flat model uses u = x; the quartic metric
+g = 4 lam x^2 gives u = sqrt(lam) x^2, so every quartic state is a flat
+oscillator state of u, and its parameter derivatives are the state and
+its dilation u d psi/du with scalar coefficients.
+
 Closed-form reference tensors are exposed through ``analytic_reference``.
 The curvature reference for the generalized model is normalized so that it
 is the exterior derivative of the connection (it integrates consistently
@@ -57,15 +64,15 @@ def hermite(n: int, z):
     """Physicists' Hermite polynomial H_n via the three-term recurrence."""
     if not 0 <= int(n) <= 30:
         raise ValueError(f"Hermite order {n} outside supported range 0..30")
-    n = int(n)
-    z = np.asarray(z, dtype=float)
-    h_prev = np.ones_like(z)
-    if n == 0:
-        return h_prev
-    h = 2.0 * z
-    for k in range(1, n):
+    return _hermite_pair(int(n), np.asarray(z, dtype=float))[1]
+
+
+def _hermite_pair(n: int, z):
+    """(H_{n-1}, H_n) from one pass of the recurrence, with H_{-1} = 0."""
+    h_prev, h = np.zeros_like(z), np.ones_like(z)
+    for k in range(n):
         h_prev, h = h, 2.0 * z * h - 2.0 * k * h_prev
-    return h
+    return h_prev, h
 
 
 def _masked(arg, builder, shape=None, dtype=float):
@@ -77,6 +84,39 @@ def _masked(arg, builder, shape=None, dtype=float):
     if np.any(mask):
         out[mask] = builder(mask)
     return out
+
+
+def _oscillator_norm(n: int, omega: float, hbar: float) -> float:
+    return (omega / (math.pi * hbar)) ** 0.25 / math.sqrt(2.0 ** n * math.factorial(n))
+
+
+def _oscillator(u, omega, n, hbar, c_psi=1.0, c_dil=0.0):
+    """c_psi psi_n(u) + c_dil u d psi_n/du for the flat oscillator state.
+
+    psi_n(u) = N_n e^(-z^2/2) H_n(z) with z = sqrt(omega/hbar) u, and
+    u d psi_n/du = N_n e^(-z^2/2) (z H_n'(z) - z^2 H_n(z)), H_n' = 2n H_{n-1};
+    one exponential and one Hermite recurrence serve both terms.  psi_n
+    depends on omega only through omega^(1/4) and sqrt(omega) u, so
+    d psi_n/d omega is the pair (1/(4 omega), 1/(2 omega)).
+    """
+    z = math.sqrt(omega / hbar) * np.asarray(u, dtype=float)
+    arg = -0.5 * z * z
+    pref = _oscillator_norm(n, omega, hbar)
+
+    def build(mask):
+        zm = z[mask]
+        h_prev, h = _hermite_pair(n, zm)
+        inner = c_psi * h
+        if c_dil:
+            inner = inner + c_dil * zm * (2.0 * n * h_prev - zm * h)
+        return pref * np.exp(arg[mask]) * inner
+
+    return _masked(arg, build)
+
+
+def _omega_pair(omega: float, d_omega: float = 1.0):
+    """Kernel coefficients of d psi_n / d p when omega depends on p."""
+    return d_omega / (4.0 * omega), d_omega / (2.0 * omega)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +154,6 @@ class ModelSpec:
     psi: WavefunctionFamily
     potential: Callable
     domain_factory: Callable
-    parameter_domain: dict
     in_domain: Callable
     sample_window: dict
     analytic_refs: dict = field(default_factory=dict)
@@ -127,11 +166,6 @@ class ModelSpec:
 
     def domain_for(self, lam) -> Domain:
         return self.domain_factory(param_values(lam))
-
-    def point(self, **kwargs):
-        from .core import ParameterPoint
-        vals = tuple(float(kwargs[name]) for name in self.parameter_names)
-        return ParameterPoint(vals, self.parameter_names)
 
     def check_in_domain(self, lam) -> bool:
         lamv = param_values(lam)
@@ -170,43 +204,45 @@ def _squared_axis() -> Axis:
 # Quartic oscillator family (shared by the plain and generalized models)
 # ---------------------------------------------------------------------------
 
-def _quartic_norm(n: int, omega: float, hbar: float) -> float:
-    return (omega / (math.pi * hbar)) ** 0.25 / math.sqrt(2.0 ** n * math.factorial(n))
+def _quartic_u(lam, x):
+    """Proper length u = sqrt(lam) x^2 of the metric g = 4 lam x^2."""
+    return math.sqrt(lam) * np.square(np.asarray(x, dtype=float))
 
 
-def _quartic_psi(x, lam, omega, n, hbar):
-    """psi_n for the metric 4 lam x^2; real, even in x."""
-    x = np.asarray(x, dtype=float)
-    arg = -omega * lam * x ** 4 / (2.0 * hbar)
-    pref = _quartic_norm(n, omega, hbar)
+def _quartic_metric() -> MetricFamily:
+    """g = 4 lam x^2, with lam the first model parameter."""
+    def det(lamv, x):
+        return 4.0 * lamv[0] * np.square(np.asarray(x, dtype=float))
 
-    def build(mask):
-        xm = np.broadcast_to(x, arg.shape)[mask]
-        z = np.sqrt(omega * lam / hbar) * xm ** 2
-        return pref * np.exp(arg[mask]) * hermite(n, z)
+    return MetricFamily(
+        dim=1,
+        eval=lambda lamv, x: det(lamv, x)[..., None, None],
+        det=det,
+        analytic_log_det_grad=lambda lamv, rho, x: (
+            np.full(np.shape(x), 1.0 / lamv[0]) if rho == 0
+            else np.zeros(np.shape(x))
+        ),
+    )
 
-    return _masked(arg, build)
 
-
-def _quartic_dpsi(x, lam, omega, n, hbar, which: str):
-    """Analytic d psi_n / d lam or d psi_n / d omega for the quartic family."""
-    x = np.asarray(x, dtype=float)
-    arg = -omega * lam * x ** 4 / (2.0 * hbar)
-    pref = _quartic_norm(n, omega, hbar)
-
-    def build(mask):
-        xm = np.broadcast_to(x, arg.shape)[mask]
-        z = np.sqrt(omega * lam / hbar) * xm ** 2
-        hn = hermite(n, z)
-        dhn = 2.0 * n * hermite(n - 1, z) if n > 0 else np.zeros_like(z)
-        if which == "lam":
-            inner = -omega * xm ** 4 / (2.0 * hbar) * hn + dhn * z / (2.0 * lam)
-        else:
-            inner = (1.0 / (4.0 * omega) - lam * xm ** 4 / (2.0 * hbar)) * hn \
-                + dhn * z / (2.0 * omega)
-        return pref * np.exp(arg[mask]) * inner
-
-    return _masked(arg, build)
+def _quartic_hint(hbar: float, omega_of: Callable,
+                  effective_potential: Optional[Callable] = None) -> SpectralHint:
+    """Parity-split grid in p = x^2 for a quartic model of frequency omega_of."""
+    return SpectralHint(
+        coordinate=lambda lamv: (
+            lambda u: np.sqrt(u),
+            lambda u: 0.5 / np.sqrt(u),
+            lambda x: np.square(x),
+        ),
+        u_range=lambda lamv, n_max: (
+            0.0,
+            math.sqrt(hbar / (omega_of(lamv) * lamv[0]))
+            * (math.sqrt(2 * n_max + 1) + 8.0),
+        ),
+        left_boundaries=("neumann", "dirichlet"),
+        effective_potential=effective_potential,
+        fold=2.0,
+    )
 
 
 def _anharmonic_refs(hbar: float) -> dict:
@@ -223,64 +259,39 @@ def _anharmonic_refs(hbar: float) -> dict:
         "qmt": qmt,
         "berry_curvature": lambda n, lamv: np.zeros((2, 2)),
         "energy": lambda n, lamv: hbar * lamv[1] * (n[0] + 0.5),
-        "norm_const": lambda n, lamv: _quartic_norm(n[0], lamv[1], hbar),
+        "norm_const": lambda n, lamv: _oscillator_norm(n[0], lamv[1], hbar),
     }
 
 
 def anharmonic_1d(hbar: float = 1.0) -> ModelSpec:
-    def metric_eval(lamv, x):
-        x = np.asarray(x, dtype=float)
-        g = 4.0 * lamv[0] * x * x
-        return g[..., None, None]
-
-    metric = MetricFamily(
-        dim=1,
-        eval=metric_eval,
-        det=lambda lamv, x: 4.0 * lamv[0] * np.square(np.asarray(x, dtype=float)),
-        analytic_log_det_grad=lambda lamv, rho, x: (
-            np.full(np.shape(x), 1.0 / lamv[0]) if rho == 0
-            else np.zeros(np.shape(x))
-        ),
-    )
+    def psi_grad(lamv, n, rho, x):
+        lam, om = lamv
+        coeffs = (0.0, 1.0 / (2.0 * lam)) if rho == 0 else _omega_pair(om)
+        return _oscillator(_quartic_u(lam, x), om, n[0], hbar, *coeffs) + 0j
 
     psi = WavefunctionFamily(
         dim=1,
-        eval=lambda lamv, n, x: _quartic_psi(x, lamv[0], lamv[1], n[0], hbar) + 0j,
-        analytic_param_grad=lambda lamv, n, rho, x: _quartic_dpsi(
-            x, lamv[0], lamv[1], n[0], hbar, "lam" if rho == 0 else "omega"
-        ) + 0j,
+        eval=lambda lamv, n, x: _oscillator(
+            _quartic_u(lamv[0], x), lamv[1], n[0], hbar) + 0j,
+        analytic_param_grad=psi_grad,
     )
 
     domain = Domain(1, (_squared_axis(),), "full-line")
-    hint = SpectralHint(
-        coordinate=lambda lamv: (
-            lambda u: np.sqrt(u),
-            lambda u: 0.5 / np.sqrt(u),
-            lambda x: np.square(x),
-        ),
-        u_range=lambda lamv, n_max: (
-            0.0,
-            math.sqrt(hbar / (lamv[1] * lamv[0])) * (math.sqrt(2 * n_max + 1) + 8.0),
-        ),
-        left_boundaries=("neumann", "dirichlet"),
-        fold=2.0,
-    )
 
     return ModelSpec(
         name="anharmonic-1d",
         dim=1,
         parameter_names=("lambda", "omega"),
         hbar=hbar,
-        metric=metric,
+        metric=_quartic_metric(),
         psi=psi,
         potential=lambda lamv, x: 0.5 * lamv[1] ** 2 * lamv[0] * np.asarray(x) ** 4,
         domain_factory=lambda lamv: domain,
-        parameter_domain={"lambda": ((0.0, np.inf),), "omega": ((0.0, np.inf),)},
         in_domain=lambda lamv: lamv[0] > 0 and lamv[1] > 0,
         sample_window={"lambda": (0.4, 2.5), "omega": (0.4, 2.5)},
         analytic_refs=_anharmonic_refs(hbar),
         supported_n=lambda n: len(n) == 1 and 0 <= n[0] <= 12,
-        spectral=hint,
+        spectral=_quartic_hint(hbar, lambda lamv: lamv[1]),
     )
 
 
@@ -289,37 +300,26 @@ def anharmonic_1d(hbar: float = 1.0) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 def _morse_psi(x, lam, omega, hbar):
-    x = np.asarray(x, dtype=float)
-    expo = -lam * x
+    # where exp(-lam x) overflows, psi underflows to zero
+    arg = lam * np.asarray(x, dtype=float)
     pref = math.sqrt(2.0) * (omega / (math.pi * hbar)) ** 0.25
-
-    def build(mask):
-        e = np.exp(expo[mask])
-        return pref * np.exp(-omega * e / (2.0 * hbar))
-
-    # guard: where exp(-lam x) overflows, psi underflows to zero
-    out = np.zeros(expo.shape)
-    mask = expo < 700.0
-    if np.any(mask):
-        out[mask] = build(mask)
-    return out
+    return _masked(arg, lambda mask: pref * np.exp(
+        -omega * np.exp(-arg[mask]) / (2.0 * hbar)))
 
 
 def _morse_dpsi(x, lam, omega, hbar, which: str):
     x = np.asarray(x, dtype=float)
-    expo = -lam * x
+    arg = lam * x
     pref = math.sqrt(2.0) * (omega / (math.pi * hbar)) ** 0.25
-    out = np.zeros(expo.shape)
-    mask = expo < 700.0
-    if np.any(mask):
-        xm = np.broadcast_to(x, expo.shape)[mask]
-        e = np.exp(expo[mask])
+
+    def build(mask):
+        e = np.exp(-arg[mask])
         psi = pref * np.exp(-omega * e / (2.0 * hbar))
         if which == "lam":
-            out[mask] = psi * (omega * xm * e / (2.0 * hbar))
-        else:
-            out[mask] = psi * (1.0 / (4.0 * omega) - e / (2.0 * hbar))
-    return out
+            return psi * (omega * x[mask] * e / (2.0 * hbar))
+        return psi * (1.0 / (4.0 * omega) - e / (2.0 * hbar))
+
+    return _masked(arg, build)
 
 
 def morse_g_ll(lam: float, omega: float, hbar: float = 1.0) -> float:
@@ -418,10 +418,6 @@ def morse_like(hbar: float = 1.0) -> ModelSpec:
         psi=psi,
         potential=lambda lamv, x: 0.5 * lamv[1] ** 2 * np.exp(-lamv[0] * np.asarray(x)),
         domain_factory=domain_factory,
-        parameter_domain={
-            "lambda": ((-np.inf, 0.0), (0.0, np.inf)),
-            "omega": ((0.0, np.inf),),
-        },
         in_domain=lambda lamv: lamv[0] != 0 and lamv[1] > 0,
         sample_window={"lambda": (0.4, 2.5), "omega": (0.4, 2.5)},
         analytic_refs=refs,
@@ -586,12 +582,6 @@ def coupled_anharmonic_2d(hbar: float = 1.0) -> ModelSpec:
         psi=psi,
         potential=potential,
         domain_factory=lambda lamv: domain,
-        parameter_domain={
-            "k1": ((0.0, np.inf),),
-            "k2": ((-np.inf, np.inf),),
-            "a": ((-np.inf, 0.0), (0.0, np.inf)),
-            "b": ((-np.inf, 0.0), (0.0, np.inf)),
-        },
         in_domain=lambda lamv: (
             lamv[0] > 0 and lamv[0] + 2 * lamv[1] > 0
             and lamv[2] != 0 and lamv[3] != 0
@@ -626,43 +616,32 @@ def generalized_anharmonic(hbar: float = 1.0) -> ModelSpec:
     def omega_of(lamv):
         return math.sqrt(lamv[2] - lamv[1] ** 2)
 
-    def metric_eval(lamv, x):
-        g = 4.0 * lamv[0] * np.square(np.asarray(x, dtype=float))
-        return g[..., None, None]
-
-    metric = MetricFamily(
-        dim=1,
-        eval=metric_eval,
-        det=lambda lamv, x: 4.0 * lamv[0] * np.square(np.asarray(x, dtype=float)),
-        analytic_log_det_grad=lambda lamv, rho, x: (
-            np.full(np.shape(x), 1.0 / lamv[0]) if rho == 0
-            else np.zeros(np.shape(x))
-        ),
-    )
+    def phased(lamv, n, x):
+        """(u, x^4, quartic state without its phase, the phase)."""
+        lam, b, _ = lamv
+        x = np.asarray(x, dtype=float)
+        u, x4 = _quartic_u(lam, x), x ** 4
+        base = _oscillator(u, omega_of(lamv), n[0], hbar)
+        return u, x4, base, np.exp(-1j * b * lam * x4 / (2.0 * hbar))
 
     def psi_eval(lamv, n, x):
-        lam, b, _ = lamv
-        om = omega_of(lamv)
-        x = np.asarray(x, dtype=float)
-        base = _quartic_psi(x, lam, om, n[0], hbar)
-        phase = np.exp(-1j * b * lam * x ** 4 / (2.0 * hbar))
+        _, _, base, phase = phased(lamv, n, x)
         return base * phase
 
     def psi_grad(lamv, n, rho, x):
         lam, b, _ = lamv
         om = omega_of(lamv)
-        x = np.asarray(x, dtype=float)
-        base = _quartic_psi(x, lam, om, n[0], hbar)
-        phase = np.exp(-1j * b * lam * x ** 4 / (2.0 * hbar))
+        u, x4, base, phase = phased(lamv, n, x)
         if rho == 0:
-            dbase = _quartic_dpsi(x, lam, om, n[0], hbar, "lam")
-            dtheta = -b * x ** 4 / (2.0 * hbar)
+            coeffs = (0.0, 1.0 / (2.0 * lam))
+            dtheta = -b * x4 / (2.0 * hbar)
         elif rho == 1:
-            dbase = _quartic_dpsi(x, lam, om, n[0], hbar, "omega") * (-b / om)
-            dtheta = -lam * x ** 4 / (2.0 * hbar)
+            coeffs = _omega_pair(om, -b / om)
+            dtheta = -lam * x4 / (2.0 * hbar)
         else:
-            dbase = _quartic_dpsi(x, lam, om, n[0], hbar, "omega") / (2.0 * om)
+            coeffs = _omega_pair(om, 1.0 / (2.0 * om))
             dtheta = 0.0
+        dbase = _oscillator(u, om, n[0], hbar, *coeffs)
         return (dbase + 1j * dtheta * base) * phase
 
     psi = WavefunctionFamily(dim=1, eval=psi_eval, analytic_param_grad=psi_grad)
@@ -707,27 +686,16 @@ def generalized_anharmonic(hbar: float = 1.0) -> ModelSpec:
         "berry_curvature": berry_ref,
         "berry_connection": beta_ref,
         "energy": lambda n, lamv: hbar * omega_of(lamv) * (n[0] + 0.5),
-        "norm_const": lambda n, lamv: _quartic_norm(n[0], omega_of(lamv), hbar),
+        "norm_const": lambda n, lamv: _oscillator_norm(n[0], omega_of(lamv), hbar),
     }
 
     # the position-dependent phase is a similarity transform removing the
     # first-order momentum coupling; the remaining real operator is the
     # quartic oscillator with omega^2 = c - b^2
-    hint = SpectralHint(
-        coordinate=lambda lamv: (
-            lambda u: np.sqrt(u),
-            lambda u: 0.5 / np.sqrt(u),
-            lambda x: np.square(x),
-        ),
-        u_range=lambda lamv, n_max: (
-            0.0,
-            math.sqrt(hbar / (omega_of(lamv) * lamv[0]))
-            * (math.sqrt(2 * n_max + 1) + 8.0),
-        ),
-        left_boundaries=("neumann", "dirichlet"),
+    hint = _quartic_hint(
+        hbar, omega_of,
         effective_potential=lambda lamv, x: 0.5 * (lamv[2] - lamv[1] ** 2)
         * lamv[0] * np.asarray(x) ** 4,
-        fold=2.0,
     )
 
     return ModelSpec(
@@ -735,15 +703,10 @@ def generalized_anharmonic(hbar: float = 1.0) -> ModelSpec:
         dim=1,
         parameter_names=("lambda", "b", "c"),
         hbar=hbar,
-        metric=metric,
+        metric=_quartic_metric(),
         psi=psi,
         potential=lambda lamv, x: 0.5 * lamv[2] * lamv[0] * np.asarray(x) ** 4,
         domain_factory=lambda lamv: domain,
-        parameter_domain={
-            "lambda": ((0.0, np.inf),),
-            "b": ((-np.inf, np.inf),),
-            "c": ((0.0, np.inf),),
-        },
         in_domain=lambda lamv: lamv[0] > 0 and lamv[2] - lamv[1] ** 2 > 0,
         sample_window={"lambda": (0.5, 2.0), "b": (-0.5, 0.5), "c": (0.9, 2.2)},
         analytic_refs=refs,
@@ -756,36 +719,6 @@ def generalized_anharmonic(hbar: float = 1.0) -> ModelSpec:
 # Flat oscillator (flat-limit reference and solver sanity checks)
 # ---------------------------------------------------------------------------
 
-def _flat_psi(x, omega, n, hbar):
-    x = np.asarray(x, dtype=float)
-    arg = -omega * x * x / (2.0 * hbar)
-    pref = _quartic_norm(n, omega, hbar)
-
-    def build(mask):
-        xm = np.broadcast_to(x, arg.shape)[mask]
-        z = np.sqrt(omega / hbar) * xm
-        return pref * np.exp(arg[mask]) * hermite(n, z)
-
-    return _masked(arg, build)
-
-
-def _flat_dpsi(x, omega, n, hbar):
-    x = np.asarray(x, dtype=float)
-    arg = -omega * x * x / (2.0 * hbar)
-    pref = _quartic_norm(n, omega, hbar)
-
-    def build(mask):
-        xm = np.broadcast_to(x, arg.shape)[mask]
-        z = np.sqrt(omega / hbar) * xm
-        hn = hermite(n, z)
-        dhn = 2.0 * n * hermite(n - 1, z) if n > 0 else np.zeros_like(z)
-        inner = (1.0 / (4.0 * omega) - xm * xm / (2.0 * hbar)) * hn \
-            + dhn * z / (2.0 * omega)
-        return pref * np.exp(arg[mask]) * inner
-
-    return _masked(arg, build)
-
-
 def flat_oscillator_1d(hbar: float = 1.0) -> ModelSpec:
     metric = MetricFamily(
         dim=1,
@@ -795,9 +728,9 @@ def flat_oscillator_1d(hbar: float = 1.0) -> ModelSpec:
     )
     psi = WavefunctionFamily(
         dim=1,
-        eval=lambda lamv, n, x: _flat_psi(x, lamv[0], n[0], hbar) + 0j,
-        analytic_param_grad=lambda lamv, n, rho, x: _flat_dpsi(
-            x, lamv[0], n[0], hbar) + 0j,
+        eval=lambda lamv, n, x: _oscillator(x, lamv[0], n[0], hbar) + 0j,
+        analytic_param_grad=lambda lamv, n, rho, x: _oscillator(
+            x, lamv[0], n[0], hbar, *_omega_pair(lamv[0])) + 0j,
     )
     domain = Domain.full_line()
     hint = SpectralHint(
@@ -818,7 +751,7 @@ def flat_oscillator_1d(hbar: float = 1.0) -> ModelSpec:
         ),
         "berry_curvature": lambda n, lamv: np.zeros((1, 1)),
         "energy": lambda n, lamv: hbar * lamv[0] * (n[0] + 0.5),
-        "norm_const": lambda n, lamv: _quartic_norm(n[0], lamv[0], hbar),
+        "norm_const": lambda n, lamv: _oscillator_norm(n[0], lamv[0], hbar),
     }
     return ModelSpec(
         name="flat-oscillator-1d",
@@ -829,7 +762,6 @@ def flat_oscillator_1d(hbar: float = 1.0) -> ModelSpec:
         psi=psi,
         potential=lambda lamv, x: 0.5 * lamv[0] ** 2 * np.square(np.asarray(x)),
         domain_factory=lambda lamv: domain,
-        parameter_domain={"omega": ((0.0, np.inf),)},
         in_domain=lambda lamv: lamv[0] > 0,
         sample_window={"omega": (0.4, 2.5)},
         analytic_refs=refs,

@@ -57,7 +57,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
     max_levels: int = 10
-    scheme: str = "auto"  # "auto" | "gauss-kronrod" | "double-exponential"
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -350,15 +349,8 @@ def integrate(f: Callable, domain: Domain, cfg: QuadratureConfig | None = None
     if domain.dim != 1:
         raise ValueError("integrate expects a 1-D domain; see integrate_2d_product")
     axis = domain.axes[0]
-    plain_finite = (
-        axis.transform is None
-        and not axis.even_fold
-        and math.isfinite(axis.lo)
-        and math.isfinite(axis.hi)
-    )
-    if cfg.scheme == "gauss-kronrod" or (cfg.scheme == "auto" and plain_finite):
-        if not plain_finite:
-            raise ValueError("gauss-kronrod scheme requires a plain finite axis")
+    if (axis.transform is None and not axis.even_fold
+            and math.isfinite(axis.lo) and math.isfinite(axis.hi)):
         return _integrate_gk(f, axis.lo, axis.hi, cfg)
     node_fn, t_cap = _axis_node_maker(axis)
 

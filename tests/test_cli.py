@@ -392,3 +392,21 @@ def test_phase_portrait_energy_below_minimum(runner):
     rec = json.loads(result.stdout.strip())
     assert rec["points"] == []
     assert "note" in rec
+
+
+_UNREAD_OPTIONS = [
+    ("compute", "--jobs"),
+    ("validate", "--format"), ("validate", "--jobs"),
+    ("spectrum", "--jobs"), ("spectrum", "--quad-rel-tol"), ("spectrum", "--fd-step"),
+    *(("phase-portrait", flag) for flag in (
+        "--model", "--hbar", "--jobs", "--quad-rel-tol", "--fd-step",
+        "--k1", "--k2", "--a", "--b", "--c")),
+]
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD_OPTIONS)
+def test_option_a_command_does_not_read_exits_2(runner, command, flag):
+    value = {"--format": "csv", "--model": "anharmonic-1d"}.get(flag, "1")
+    result = runner.invoke(main, [command, flag, value])
+    assert result.exit_code == 2
+    assert "No such option" in result.output

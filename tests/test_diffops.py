@@ -67,23 +67,28 @@ def test_boundary_guard_requires_explicit_opt_in(anharmonic):
     assert abs(one_sided[0] - analytic[0]) / abs(analytic[0]) < 1e-3
 
 
-def test_analytic_grad_matches_fd_on_all_models(all_models):
-    """FD and analytic parameter derivatives agree at random samples."""
+def test_analytic_grad_matches_fd_on_all_models(all_models, flat):
+    """FD and analytic parameter derivatives agree at random samples, for
+    the ground state and the excited states a model supports, on both
+    signs of every coordinate."""
     rng = np.random.default_rng(11)
     cfg = FdConfig(base_step=1e-4, scheme="central-4")
-    for model in all_models:
-        n = (0,) * model.dim
-        worst = 0.0
-        for _ in range(5):
-            lamv = model.sample_parameters(rng)
-            axes = [rng.uniform(0.2, 1.6, size=20) for _ in range(model.dim)]
-            for rho in range(model.m):
-                ana = d_psi(model.psi, n, lamv, rho, cfg, *axes)
-                fd = d_psi(model.psi, n, lamv, rho, cfg, *axes, force_fd=True,
-                           in_domain=model.in_domain)
-                scale = np.max(np.abs(ana)) + 1e-12
-                worst = max(worst, float(np.max(np.abs(ana - fd)) / scale))
-        assert worst < 1e-7, f"{model.name}: {worst:.2e}"
+    for model in [*all_models, flat]:
+        for n in [(0,) * model.dim, (1,), (4,), (12,)]:
+            if not model.supported_n(n):
+                continue
+            worst = 0.0
+            for _ in range(5):
+                lamv = model.sample_parameters(rng)
+                axes = [rng.uniform(0.2, 1.6, size=20) * rng.choice([-1.0, 1.0], size=20)
+                        for _ in range(model.dim)]
+                for rho in range(model.m):
+                    ana = d_psi(model.psi, n, lamv, rho, cfg, *axes)
+                    fd = d_psi(model.psi, n, lamv, rho, cfg, *axes, force_fd=True,
+                               in_domain=model.in_domain)
+                    scale = np.max(np.abs(ana)) + 1e-12
+                    worst = max(worst, float(np.max(np.abs(ana - fd)) / scale))
+            assert worst < 1e-7, f"{model.name} n = {n}: {worst:.2e}"
 
 
 def test_log_det_grad_examples(anharmonic, morse):
