@@ -231,9 +231,6 @@ class ParameterPoint:
         vals[index] += delta
         return ParameterPoint(tuple(vals), self.names)
 
-    def with_values(self, values) -> "ParameterPoint":
-        return ParameterPoint(tuple(float(v) for v in values), self.names)
-
 
 def param_values(lam) -> np.ndarray:
     """Normalize a parameter argument to a 1-D float array."""
@@ -279,16 +276,20 @@ class MetricFamily:
         g = np.asarray(self.eval(lamv, *axes))
         return np.linalg.det(g)
 
-    def sqrt_det(self, lam, *axes) -> np.ndarray:
+    def _positive_det(self, lam, *axes) -> np.ndarray:
+        """det g, raising when it is not positive at some node."""
         d = self.det_at(lam, *axes)
         if np.any(np.asarray(d) <= 0):
             raise MetricPositivityError(
                 "metric not positive-definite: det g <= 0 inside the domain"
             )
-        return np.sqrt(d)
+        return d
+
+    def sqrt_det(self, lam, *axes) -> np.ndarray:
+        return np.sqrt(self._positive_det(lam, *axes))
 
     def quarter_root_det(self, lam, *axes) -> np.ndarray:
-        return np.power(self.det_at(lam, *axes), 0.25)
+        return np.power(self._positive_det(lam, *axes), 0.25)
 
 
 @dataclass(frozen=True)
@@ -298,13 +299,12 @@ class WavefunctionFamily:
     ``eval(lam, n, *axes)`` returns complex amplitudes broadcast over the
     axis arrays.  ``analytic_param_grad(lam, n, rho, *axes)``, when present,
     returns d psi / d lambda_rho and is used as the default derivative
-    route.  ``gauge_phase`` records an applied gauge phase alpha(lambda).
+    route.
     """
 
     dim: int
     eval: Callable
     analytic_param_grad: Optional[Callable] = None
-    gauge_phase: Optional[Callable] = None
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +360,6 @@ class Domain:
 
     dim: int
     axes: tuple
-    kind: str = "custom"
 
     def __post_init__(self):
         if len(self.axes) != self.dim:
@@ -368,19 +367,19 @@ class Domain:
 
     @staticmethod
     def full_line(transform=None, even_fold=False) -> "Domain":
-        return Domain(1, (Axis(-np.inf, np.inf, transform, even_fold),), "full-line")
+        return Domain(1, (Axis(-np.inf, np.inf, transform, even_fold),))
 
     @staticmethod
     def half_line(transform=None) -> "Domain":
-        return Domain(1, (Axis(0.0, np.inf, transform),), "half-line")
+        return Domain(1, (Axis(0.0, np.inf, transform),))
 
     @staticmethod
     def interval(lo: float, hi: float) -> "Domain":
-        return Domain(1, (Axis(lo, hi),), "custom")
+        return Domain(1, (Axis(lo, hi),))
 
     @staticmethod
     def product(ax: Axis, ay: Axis) -> "Domain":
-        return Domain(2, (ax, ay), "product-of-1D")
+        return Domain(2, (ax, ay))
 
 
 # ---------------------------------------------------------------------------

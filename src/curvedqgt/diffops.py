@@ -38,12 +38,12 @@ class FdConfig:
     """Step policy: h_rho = base_step * max(1, |lambda_rho|)."""
 
     base_step: float = 1e-4
-    scheme: str = "central-4"  # "central-2" | "central-4" | "richardson"
+    scheme: str = "central-4"  # "central-2" | "central-4"
 
     def __post_init__(self):
         if self.base_step <= 0:
             raise ValueError("base_step must be positive")
-        if self.scheme not in ("central-2", "central-4", "richardson"):
+        if self.scheme not in _STENCILS:
             raise ValueError(f"unknown scheme '{self.scheme}'")
 
     def step(self, lam_rho: float) -> float:
@@ -70,26 +70,13 @@ def fd_derivative(fn: Callable, lam, rho: int, cfg: Optional[FdConfig] = None,
                   allow_one_sided: bool = False):
     """d fn / d lambda_rho for fn taking the full parameter vector.
 
-    Richardson mode combines second-order estimates at h and h/2, which
-    cancels the leading error term without widening the stencil beyond
-    +-h.  A stencil leaving the parameter domain raises unless one-sided
+    A stencil leaving the parameter domain raises unless one-sided
     differencing was explicitly requested.
     """
     if cfg is None:
         cfg = FdConfig()
     lamv = param_values(lam)
     h = cfg.step(lamv[rho])
-
-    if cfg.scheme == "richardson":
-        offs, coeffs = _STENCILS["central-2"]
-        if not _check_stencil(lamv, rho, offs, h, in_domain):
-            return _one_sided(fn, lamv, rho, h, in_domain, allow_one_sided)
-        d_h = sum(c * fn(p) for c, p in
-                  zip(coeffs, _stencil_points(lamv, rho, offs, h))) / h
-        d_h2 = sum(c * fn(p) for c, p in
-                   zip(coeffs, _stencil_points(lamv, rho, offs, 0.5 * h))) / (0.5 * h)
-        return (4.0 * d_h2 - d_h) / 3.0
-
     offs, coeffs = _STENCILS[cfg.scheme]
     if not _check_stencil(lamv, rho, offs, h, in_domain):
         return _one_sided(fn, lamv, rho, h, in_domain, allow_one_sided)

@@ -7,7 +7,7 @@ its own quarter-root metric determinant, expands as
 
 and chi equals the quantum metric tensor.  The estimate here never
 differentiates anything: it evaluates the overlap on symmetric
-displacement stencils, extracts the quadratic coefficient, and optionally
+displacement stencils, extracts the quadratic coefficient, and
 Richardson-extrapolates the step-size series.  That makes it an
 independent cross-check of the bracket-assembled metric.
 """
@@ -36,25 +36,25 @@ from .quadrature import integrate, integrate_2d_product
 __all__ = ["SusceptibilityConfig", "overlap", "fidelity_susceptibility",
            "SusceptibilityResult", "fidelity_susceptibility_detailed"]
 
+# largest fitted linear coefficient before LinearTermWarning
+LINEAR_TERM_WARN = 1e-6
+
 
 @dataclass(frozen=True)
 class SusceptibilityConfig:
     """Displacement stencil for the quadratic-coefficient fit.
 
-    Steps should halve between entries when Richardson extrapolation is
-    on; the default ladder does.
+    The step series is always Richardson-extrapolated, so steps should
+    halve between entries; the default ladder does.  A single step gives
+    the raw coefficient with fit residual 0.
     """
 
     delta_steps: tuple = (1e-2, 5e-3, 2.5e-3)
-    extrapolation: str = "richardson"  # "richardson" | "none"
     residual_threshold: float = 1e-3
-    linear_term_warn: float = 1e-6
 
     def __post_init__(self):
         if not all(d > 0 for d in self.delta_steps):
             raise ValueError("all displacement steps must be positive")
-        if self.extrapolation not in ("richardson", "none"):
-            raise ValueError(f"unknown extrapolation '{self.extrapolation}'")
 
 
 @dataclass
@@ -146,14 +146,10 @@ def fidelity_susceptibility_detailed(
 
     def fit(direction):
         c2, c1 = _quadratic_coefficient(fid, direction, steps, f0)
-        if sus_cfg.extrapolation == "richardson" and len(steps) >= 2:
-            value, residual = _richardson(c2)
-            # the raw c1 estimates carry the cubic term at O(delta^2);
-            # the same extrapolation isolates the true linear coefficient
-            lin = abs(_richardson(c1)[0])
-        else:
-            value, residual = float(c2[-1]), float(abs(c2[-1] - c2[0]))
-            lin = float(np.min(np.abs(c1)))
+        value, residual = _richardson(c2)
+        # the raw c1 estimates carry the cubic term at O(delta^2);
+        # the same extrapolation isolates the true linear coefficient
+        lin = abs(_richardson(c1)[0])
         return -2.0 * value, residual, lin
 
     chi = np.zeros((m, m))
@@ -178,7 +174,7 @@ def fidelity_susceptibility_detailed(
     scale = max(1.0, float(np.max(diag_scale)))
     if worst_residual > sus_cfg.residual_threshold * scale:
         raise FitResidualError(worst_residual, sus_cfg.residual_threshold * scale)
-    if worst_linear > sus_cfg.linear_term_warn:
+    if worst_linear > LINEAR_TERM_WARN:
         warnings.warn(
             f"fidelity expansion linear term {worst_linear:.3e} should vanish "
             "for a normalized family; check the measure handling",

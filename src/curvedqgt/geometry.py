@@ -51,12 +51,11 @@ from .core import (
     as_quantum_number,
     param_values,
 )
-from .diffops import FdConfig, d_log_det_g, d_psi
+from .diffops import FdConfig, d_log_det_g, d_psi, fd_derivative
 from .quadrature import GramColumns, QuadratureConfig, integrate, integrate_2d_product
 
 __all__ = [
     "EngineConfig",
-    "BracketCache",
     "GeometryEngine",
     "state_of",
     "inner_product",
@@ -68,14 +67,21 @@ __all__ = [
 
 # Gram matrices an engine keeps; a Berry loop visits each point only once
 BRACKET_CACHE_SIZE = 64
+# largest |qgt - qgt^H| the assembly accepts from consistent brackets
+HERMITICITY_GATE = 1e-7
+# largest imaginary connection part before ImaginaryResidueWarning
+CONNECTION_RESIDUE_WARN = 1e-6
+# loosest relative tolerance of a Berry-loop segment integration
+SEGMENT_TOL = 1e-7
+# central differences of a gauge phase given without alpha_grad, and of ln|det J|
+_ALPHA_FD = FdConfig(base_step=1e-6, scheme="central-2")
+_JACOBIAN_FD = FdConfig(base_step=1e-5, scheme="central-2")
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     quad: QuadratureConfig = field(default_factory=QuadratureConfig)
     fd: FdConfig = field(default_factory=FdConfig)
-    hermiticity_gate: float = 1e-7
-    connection_residue_warn: float = 1e-6
 
 
 def _connection(c, s):
@@ -90,13 +96,6 @@ def _integrate(f, domain: Domain, quad: QuadratureConfig):
     if domain.dim == 1:
         return integrate(f, domain, quad)
     return integrate_2d_product(f, domain.axes[0], domain.axes[1], quad)
-
-
-class BracketCache(LruCache):
-    """The ``BRACKET_CACHE_SIZE`` most recently used Gram matrices."""
-
-    def __init__(self):
-        super().__init__(BRACKET_CACHE_SIZE)
 
 
 def state_of(psi: WavefunctionFamily, n) -> Callable:
@@ -122,8 +121,7 @@ class GeometryEngine:
 
     def __init__(self, psi: WavefunctionFamily, metric: MetricFamily,
                  domain: Domain, cfg: Optional[EngineConfig] = None,
-                 in_domain: Optional[Callable] = None,
-                 cache: Optional[BracketCache] = None):
+                 in_domain: Optional[Callable] = None):
         if psi.dim != metric.dim or domain.dim != metric.dim:
             raise EngineError("psi, metric, and domain disagree on dimension")
         self.psi = psi
@@ -131,7 +129,7 @@ class GeometryEngine:
         self.domain = domain
         self.cfg = cfg or EngineConfig()
         self.in_domain = in_domain
-        self.cache = cache or BracketCache()
+        self.cache = LruCache(BRACKET_CACHE_SIZE)
 
     # -- integrand plumbing -------------------------------------------------
 
@@ -212,7 +210,7 @@ class GeometryEngine:
         """Real part of the connection formula; warns on a large imaginary part."""
         raw = _connection(c, s)
         residue = float(np.max(np.abs(raw.imag)))
-        if residue > self.cfg.connection_residue_warn:
+        if residue > CONNECTION_RESIDUE_WARN:
             warnings.warn(
                 f"Berry connection imaginary residue {residue:.3e}; check "
                 "normalization and differentiation steps",
@@ -271,10 +269,10 @@ class GeometryEngine:
             + (S - np.outer(s, s)) / 16.0
         )
         residue = float(np.max(np.abs(g - g.conj().T)))
-        if residue > self.cfg.hermiticity_gate:
+        if residue > HERMITICITY_GATE:
             raise EngineError(
                 f"QGT Hermiticity residue {residue:.3e} exceeds "
-                f"{self.cfg.hermiticity_gate:.1e}; the assembled brackets "
+                f"{HERMITICITY_GATE:.1e}; the assembled brackets "
                 "are inconsistent"
             )
         g = 0.5 * (g + g.conj().T)
@@ -341,11 +339,7 @@ def gauge_transform(psi: WavefunctionFamily, alpha: Callable,
     def grad_alpha(lamv, rho):
         if alpha_grad is not None:
             return alpha_grad(lamv, rho)
-        h = 1e-6 * max(1.0, abs(lamv[rho]))
-        up, dn = lamv.copy(), lamv.copy()
-        up[rho] += h
-        dn[rho] -= h
-        return (alpha(up) - alpha(dn)) / (2.0 * h)
+        return fd_derivative(alpha, lamv, rho, _ALPHA_FD)
 
     def new_eval(lamv, n, *axes):
         return np.exp(1j * alpha(lamv)) * np.asarray(psi.eval(lamv, n, *axes))
@@ -358,10 +352,7 @@ def gauge_transform(psi: WavefunctionFamily, alpha: Callable,
             state = np.asarray(psi.eval(lamv, n, *axes))
             return phase * (base + 1j * grad_alpha(lamv, rho) * state)
 
-    return WavefunctionFamily(
-        dim=psi.dim, eval=new_eval, analytic_param_grad=new_grad,
-        gauge_phase=alpha,
-    )
+    return WavefunctionFamily(dim=psi.dim, eval=new_eval, analytic_param_grad=new_grad)
 
 
 def reparameterize(psi: WavefunctionFamily, metric: MetricFamily,
@@ -406,10 +397,7 @@ def reparameterize(psi: WavefunctionFamily, metric: MetricFamily,
                     )
             return total
 
-    new_psi = WavefunctionFamily(
-        dim=psi.dim, eval=psi_eval, analytic_param_grad=psi_grad,
-        gauge_phase=psi.gauge_phase,
-    )
+    new_psi = WavefunctionFamily(dim=psi.dim, eval=psi_eval, analytic_param_grad=psi_grad)
     new_metric = MetricFamily(
         dim=metric.dim,
         eval=lambda lamv, *axes: metric.eval(np.asarray(map_fn(lamv), dtype=float), *axes),
@@ -421,8 +409,7 @@ def reparameterize(psi: WavefunctionFamily, metric: MetricFamily,
     return new_psi, new_metric
 
 
-def berry_phase_loop(psi, metric, domain, loop, n, cfg=None, in_domain=None,
-                     segment_tol: float = 1e-7) -> float:
+def berry_phase_loop(psi, metric, domain, loop, n, cfg=None, in_domain=None) -> float:
     """Line integral of the connection around a closed polyline.
 
     The loop is a sequence of parameter points; it is closed automatically
@@ -440,8 +427,8 @@ def berry_phase_loop(psi, metric, domain, loop, n, cfg=None, in_domain=None,
     engine = GeometryEngine(psi, metric, domain, cfg, in_domain=in_domain)
 
     seg_cfg = QuadratureConfig(
-        rel_tol=max(segment_tol, cfg.quad.rel_tol),
-        abs_tol=max(segment_tol * 1e-2, cfg.quad.abs_tol),
+        rel_tol=max(SEGMENT_TOL, cfg.quad.rel_tol),
+        abs_tol=max(SEGMENT_TOL * 1e-2, cfg.quad.abs_tol),
         max_subdivisions=cfg.quad.max_subdivisions,
     )
     total = 0.0
@@ -485,17 +472,12 @@ def connection_transform_report(psi, metric, domain, lam_prime, n,
     ).berry_connection(base, n)
 
     det_j = float(np.linalg.det(jac))
-    m = lamp.size
-    dlog_det = np.zeros(m)
-    for rho in range(m):
-        h = 1e-5 * max(1.0, abs(lamp[rho]))
-        up, dn = lamp.copy(), lamp.copy()
-        up[rho] += h
-        dn[rho] -= h
-        dlog_det[rho] = (
-            np.log(abs(np.linalg.det(np.asarray(jacobian_fn(up)))))
-            - np.log(abs(np.linalg.det(np.asarray(jacobian_fn(dn)))))
-        ) / (2.0 * h)
+
+    def log_abs_det(p):
+        return np.log(abs(np.linalg.det(np.asarray(jacobian_fn(p)))))
+
+    dlog_det = np.array([fd_derivative(log_abs_det, lamp, rho, _JACOBIAN_FD)
+                         for rho in range(lamp.size)])
 
     return {
         "beta_direct": beta_direct,

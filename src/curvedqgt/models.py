@@ -127,19 +127,17 @@ def _omega_pair(omega: float, d_omega: float = 1.0):
 class SpectralHint:
     """How to grid one model for the 1-D spectral solver.
 
-    ``coordinate(lam)`` returns ``(x_of_u, dxdu, u_of_x)`` mapping the grid
-    variable to the physical one and back; ``u_range(lam, n_max)`` the grid
-    span; ``left_boundaries`` the boundary condition passes at the inner
-    edge (two entries request a parity-split solve whose spectra
-    interleave).  ``effective_potential`` overrides the model potential
+    The grid variable is the computational variable of the model's
+    quadrature axis (see ``spectrum.make_grid``).  ``u_range(lam, n_max)``
+    returns the grid span in it; ``left_boundaries`` the boundary condition
+    passes at the inner edge (two entries request a parity-split solve
+    whose spectra interleave).  ``effective_potential`` overrides the model potential
     when a similarity transform turns the raw operator into a real one.
     """
 
-    coordinate: Callable
     u_range: Callable
     left_boundaries: tuple = ("dirichlet",)
     effective_potential: Optional[Callable] = None
-    fold: float = 1.0  # 2.0 when the grid coordinate double-covers the line
 
 
 @dataclass(frozen=True)
@@ -229,11 +227,6 @@ def _quartic_hint(hbar: float, omega_of: Callable,
                   effective_potential: Optional[Callable] = None) -> SpectralHint:
     """Parity-split grid in p = x^2 for a quartic model of frequency omega_of."""
     return SpectralHint(
-        coordinate=lambda lamv: (
-            lambda u: np.sqrt(u),
-            lambda u: 0.5 / np.sqrt(u),
-            lambda x: np.square(x),
-        ),
         u_range=lambda lamv, n_max: (
             0.0,
             math.sqrt(hbar / (omega_of(lamv) * lamv[0]))
@@ -241,7 +234,6 @@ def _quartic_hint(hbar: float, omega_of: Callable,
         ),
         left_boundaries=("neumann", "dirichlet"),
         effective_potential=effective_potential,
-        fold=2.0,
     )
 
 
@@ -259,7 +251,6 @@ def _anharmonic_refs(hbar: float) -> dict:
         "qmt": qmt,
         "berry_curvature": lambda n, lamv: np.zeros((2, 2)),
         "energy": lambda n, lamv: hbar * lamv[1] * (n[0] + 0.5),
-        "norm_const": lambda n, lamv: _oscillator_norm(n[0], lamv[1], hbar),
     }
 
 
@@ -276,7 +267,7 @@ def anharmonic_1d(hbar: float = 1.0) -> ModelSpec:
         analytic_param_grad=psi_grad,
     )
 
-    domain = Domain(1, (_squared_axis(),), "full-line")
+    domain = Domain(1, (_squared_axis(),))
 
     return ModelSpec(
         name="anharmonic-1d",
@@ -381,14 +372,9 @@ def morse_like(hbar: float = 1.0) -> ModelSpec:
             u_lo=0.0,
             u_hi=np.inf,
         )
-        return Domain(1, (Axis(-np.inf, np.inf, transform=tr),), "full-line")
+        return Domain(1, (Axis(-np.inf, np.inf, transform=tr),))
 
     hint = SpectralHint(
-        coordinate=lambda lamv: (
-            lambda u: -(2.0 / lamv[0]) * np.log(u),
-            lambda u: 2.0 / (abs(lamv[0]) * u),
-            lambda x: np.exp(-0.5 * lamv[0] * np.asarray(x, dtype=float)),
-        ),
         u_range=lambda lamv, n_max: (
             0.0,
             math.sqrt(hbar / lamv[1]) * (math.sqrt(2 * n_max + 1) + 8.0),
@@ -406,7 +392,6 @@ def morse_like(hbar: float = 1.0) -> ModelSpec:
         "qmt_ww": lambda n, lamv: 1.0 / (8.0 * lamv[1] ** 2),
         "berry_curvature": lambda n, lamv: np.zeros((2, 2)),
         "energy": ref_energy,
-        "norm_const": lambda n, lamv: math.sqrt(2.0) * (lamv[1] / (math.pi * hbar)) ** 0.25,
     }
 
     return ModelSpec(
@@ -569,8 +554,6 @@ def coupled_anharmonic_2d(hbar: float = 1.0) -> ModelSpec:
     refs = {
         "berry_curvature": lambda n, lamv: np.zeros((4, 4)),
         "energy": ref_energy,
-        "norm_const": lambda n, lamv: _coupled_constants(
-            lamv[0], lamv[1], hbar, ab_sign=lamv[2] * lamv[3])[2],
     }
 
     return ModelSpec(
@@ -646,7 +629,7 @@ def generalized_anharmonic(hbar: float = 1.0) -> ModelSpec:
 
     psi = WavefunctionFamily(dim=1, eval=psi_eval, analytic_param_grad=psi_grad)
 
-    domain = Domain(1, (_squared_axis(),), "full-line")
+    domain = Domain(1, (_squared_axis(),))
 
     def qmt_ref(n, lamv):
         k = n[0]
@@ -686,7 +669,6 @@ def generalized_anharmonic(hbar: float = 1.0) -> ModelSpec:
         "berry_curvature": berry_ref,
         "berry_connection": beta_ref,
         "energy": lambda n, lamv: hbar * omega_of(lamv) * (n[0] + 0.5),
-        "norm_const": lambda n, lamv: _oscillator_norm(n[0], omega_of(lamv), hbar),
     }
 
     # the position-dependent phase is a similarity transform removing the
@@ -734,11 +716,6 @@ def flat_oscillator_1d(hbar: float = 1.0) -> ModelSpec:
     )
     domain = Domain.full_line()
     hint = SpectralHint(
-        coordinate=lambda lamv: (
-            lambda u: u,
-            lambda u: np.ones(np.shape(u)),
-            lambda x: np.asarray(x, dtype=float),
-        ),
         u_range=lambda lamv, n_max: (
             -math.sqrt(hbar / lamv[0]) * (math.sqrt(2 * n_max + 1) + 8.0),
             math.sqrt(hbar / lamv[0]) * (math.sqrt(2 * n_max + 1) + 8.0),
@@ -751,7 +728,6 @@ def flat_oscillator_1d(hbar: float = 1.0) -> ModelSpec:
         ),
         "berry_curvature": lambda n, lamv: np.zeros((1, 1)),
         "energy": lambda n, lamv: hbar * lamv[0] * (n[0] + 0.5),
-        "norm_const": lambda n, lamv: _oscillator_norm(n[0], lamv[0], hbar),
     }
     return ModelSpec(
         name="flat-oscillator-1d",

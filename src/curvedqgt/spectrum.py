@@ -1,7 +1,8 @@
 """1-D spectral solver for the curved-space kinetic operator.
 
 The kinetic term is the curved Laplacian (1/sqrt(g)) d_x (sqrt(g) g^xx d_x)
-discretized in flux form on a uniform grid in a model-chosen coordinate u:
+discretized in flux form on a uniform grid in the computational variable u
+of the model's quadrature axis (the physical x when the axis has none):
 with measure weight w(u) = sqrt(g) |dx/du| the flux coefficient collapses
 to c(u) = 1/w(u), so the discrete operator is symmetric under the
 w-weighted inner product by construction.  Eigenpairs solve the
@@ -50,8 +51,8 @@ __all__ = [
 ]
 
 _END_OFFSET = 1e-8  # inward nudge for coefficient evaluation at degenerate endpoints
-# grid-family solves kept per family: every stencil point of a 4th-order or
-# Richardson derivative (4 per parameter) for up to 8 parameters
+# grid-family solves kept per family: every stencil point of a 4th-order
+# derivative (4 per parameter) for up to 8 parameters
 _SOLVE_CACHE_SIZE = 32
 
 
@@ -101,20 +102,29 @@ class DiscreteHamiltonian:
 
 
 def make_grid(model: ModelSpec, lam, n_points: int = 2000,
-              n_max: int = 6, left_boundary: Optional[str] = None) -> Grid1D:
-    """Uniform grid spanning the region holding the bound-state mass."""
+              n_max: int = 6) -> Grid1D:
+    """Uniform grid spanning the region holding the bound-state mass.
+
+    The grid variable is the computational variable of the model's
+    quadrature axis at ``lam``, or x itself when the axis has no transform.
+    """
     if model.spectral is None:
         raise EngineError(f"model {model.name} declares no spectral coordinate")
     if model.dim != 1:
         raise EngineError("the spectral solver is one-dimensional")
     lamv = param_values(lam)
-    x_of, dxdu, u_of = model.spectral.coordinate(lamv)
+    tr = model.domain_for(lamv).axes[0].transform
+    if tr is None:
+        x_of, dxdu, u_of = (lambda u: u, lambda u: np.ones(np.shape(u)),
+                            lambda x: np.asarray(x, dtype=float))
+    else:
+        x_of, dxdu, u_of = tr.inv, tr.inv_jac, tr.fwd
     u_lo, u_hi = model.spectral.u_range(lamv, n_max)
     h = (u_hi - u_lo) / n_points
     points = u_lo + (np.arange(n_points) + 0.5) * h
-    left = left_boundary or model.spectral.left_boundaries[0]
     return Grid1D(
-        points=points, spacing=h, boundary=(left, "dirichlet"), lam=lamv,
+        points=points, spacing=h,
+        boundary=(model.spectral.left_boundaries[0], "dirichlet"), lam=lamv,
         x_of=x_of, dxdu=dxdu, u_of=u_of, u_lo=u_lo, u_hi=u_hi,
     )
 
@@ -277,9 +287,9 @@ def numerical_wavefunction_family(model: ModelSpec, lam, n_levels: int,
             return base_splines
         return cache.get_or_compute(key, lambda: solve_aligned(lamv, base_splines))
 
-    # the physical norm picks up the covering multiplicity of the grid
-    # coordinate, so the interpolated state is rescaled to unit curved norm
-    scale = 1.0 / np.sqrt(model.spectral.fold)
+    # a folded axis grids x >= 0 only, where a state of unit curved norm
+    # on the line holds half its norm, so the grid state is rescaled
+    scale = 1.0 / np.sqrt(2.0) if model.domain_for(base_lam).axes[0].even_fold else 1
 
     def ev(lamv, n, x):
         n = as_quantum_number(n)

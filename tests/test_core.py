@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,8 @@ def test_geometric_tensors_invariants(generalized):
 def test_wavefunction_family_fields(anharmonic):
     assert isinstance(anharmonic.psi, WavefunctionFamily)
     assert anharmonic.psi.analytic_param_grad is not None
-    assert anharmonic.psi.gauge_phase is None
+    assert [f.name for f in dataclasses.fields(WavefunctionFamily)] == [
+        "dim", "eval", "analytic_param_grad"]
 
 
 def test_lru_cache_concurrent_counts_and_bound():

@@ -48,12 +48,6 @@ def test_fourth_order_convergence_rate():
     assert order >= 3.7
 
 
-def test_richardson_scheme():
-    cfg = FdConfig(base_step=1e-3, scheme="richardson")
-    d = fd_derivative(lambda lv: math.sin(lv[0]), np.array([0.7]), 0, cfg)
-    assert abs(d - math.cos(0.7)) < 1e-11
-
-
 def test_boundary_guard_requires_explicit_opt_in(anharmonic):
     lam = np.array([5e-5, 1.0])
     with pytest.raises(ParameterBoundaryError, match="one-sided"):
@@ -137,3 +131,5 @@ def test_config_validation():
         FdConfig(base_step=0.0)
     with pytest.raises(ValueError):
         FdConfig(scheme="upwind")
+    with pytest.raises(ValueError):
+        FdConfig(scheme="richardson")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from curvedqgt.core import (
     FitResidualError,
     LinearTermWarning,
     MetricFamily,
+    MetricPositivityError,
     ParameterBoundaryError,
     WavefunctionFamily,
 )
@@ -99,8 +102,7 @@ def test_step_halving_second_order(anharmonic):
     for step in (2e-2, 1e-2):
         chi = fid.fidelity_susceptibility(
             anharmonic.psi, anharmonic.metric, anharmonic.domain_for(lam), lam,
-            (0,), sus_cfg=SusceptibilityConfig(delta_steps=(step,),
-                                               extrapolation="none"),
+            (0,), sus_cfg=SusceptibilityConfig(delta_steps=(step,)),
             in_domain=anharmonic.in_domain,
         )
         devs.append(abs(chi[0, 0] - 0.125))
@@ -143,8 +145,24 @@ def test_linear_term_flags_norm_drift(anharmonic):
         )
 
 
+def test_non_positive_metric_rejected(flat):
+    """det g < 0 is a typed failure on the fidelity route too, as in the
+    bracket route, not a NaN found mid-integration."""
+    broken = dataclasses.replace(
+        flat,
+        metric=MetricFamily(
+            dim=1,
+            eval=lambda lamv, x: -np.ones(np.shape(x))[..., None, None],
+            det=lambda lamv, x: -np.ones(np.shape(x)),
+        ),
+    )
+    lam = np.array([1.0])
+    with pytest.raises(MetricPositivityError):
+        fid.fidelity_susceptibility(broken.psi, broken.metric,
+                                    broken.domain_for(lam), lam, (0,),
+                                    in_domain=broken.in_domain)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SusceptibilityConfig(delta_steps=(1e-2, -1e-3))
-    with pytest.raises(ValueError):
-        SusceptibilityConfig(extrapolation="pade")

@@ -95,6 +95,14 @@ def test_connection_gauge_shift(anharmonic, engine_factory):
     beta = eng.berry_connection(lam, (0,))
     assert np.max(np.abs(beta - base - np.array([2.0, 0.0]))) < 1e-8
 
+    # without alpha_grad the gradient of alpha comes from central differences
+    fd_family = geo.gauge_transform(anharmonic.psi, lambda lv: lv[0] ** 2)
+    eng = geo.GeometryEngine(fd_family, anharmonic.metric,
+                             anharmonic.domain_for(lam),
+                             in_domain=anharmonic.in_domain)
+    beta = eng.berry_connection(lam, (0,))
+    assert np.max(np.abs(beta - base - np.array([2.0, 0.0]))) < 1e-8
+
 
 def test_connection_residue_warning(anharmonic):
     scaled = WavefunctionFamily(
@@ -224,7 +232,7 @@ def test_qgt_bundle(generalized, engine_factory):
 def test_qgt_hermiticity_gate(anharmonic, monkeypatch):
     lam = np.array([1.0, 1.3])
     eng = make_engine(anharmonic, lam)
-    assert eng.cfg.hermiticity_gate == geo.EngineConfig().hermiticity_gate
+    assert geo.HERMITICITY_GATE == 1e-7
     clean = eng.qgt(lam, (2,))
     assert np.all(np.isfinite(clean.qgt))
 
@@ -371,7 +379,9 @@ def test_reparameterize_connection_covector_law(generalized):
     )
     assert np.max(np.abs(report["beta_direct"] - report["covector_law"])) < 1e-6
     assert report["density_modulus_factor"] > 0
-    assert "inhomogeneous_term" in report
+    # -(1/2) d ln|det J| = (0, 1/(3 lambda'_b), 0) = (0, 12.345679, 0)
+    expected = np.array([0.0, 1.0 / (3.0 * lamp[1]), 0.0])
+    assert np.max(np.abs(report["inhomogeneous_term"] - expected)) < 1e-5
 
 
 def test_reparameterize_singular_jacobian(anharmonic):

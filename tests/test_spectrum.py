@@ -45,7 +45,7 @@ def test_generalized_similarity_spectrum(generalized):
 
 def test_eigenvector_w_orthonormality(anharmonic):
     lam = np.array([1.0, 1.0])
-    grid = sp.make_grid(anharmonic, lam, 1500, n_max=8, left_boundary="neumann")
+    grid = sp.make_grid(anharmonic, lam, 1500, n_max=8).with_boundary("neumann")
     dh = sp.build_hamiltonian(anharmonic, grid)
     pairs = sp.eigensolve(dh, 4)
     vecs = np.stack([phi for _, phi, _ in pairs], axis=1)
@@ -130,6 +130,19 @@ def test_numerical_family_flat_metric(flat):
                              _family_cfg(), in_domain=flat.in_domain)
     G = eng.qmt(lam, (0,))
     assert abs(G[0, 0] - 0.125) / 0.125 < 5e-3
+
+
+def test_numerical_family_morse_metric(morse):
+    """The one unfolded grid whose variable u = exp(-lambda x / 2) moves
+    with lambda; the grid stays frozen at the base point."""
+    for lam in (np.array([1.0, 1.0]), np.array([0.8, 1.3])):
+        fam = sp.numerical_wavefunction_family(morse, lam, 1, n_points=1500)
+        eng = geo.GeometryEngine(fam, morse.metric, morse.domain_for(lam),
+                                 _family_cfg(), in_domain=morse.in_domain)
+        G = eng.qmt(lam, (0,))
+        for (r, k), name in (((0, 0), "qmt_ll"), ((1, 1), "qmt_ww")):
+            ref = models.analytic_reference(morse, name, 0, lam)
+            assert abs(G[r, k] - ref) / abs(ref) < 5e-3
 
 
 def test_numerical_family_solves_once_per_stencil_point(anharmonic, monkeypatch):
