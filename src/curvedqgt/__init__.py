@@ -9,7 +9,7 @@ from .core import (
     MetricFamily,
     ParameterPoint,
     WavefunctionFamily,
-    validate_model,
+    validate,
 )
 from .diffops import FdConfig
 from .geometry import EngineConfig, GeometryEngine
@@ -31,7 +31,7 @@ __all__ = [
     "WavefunctionFamily",
     "available_models",
     "get_model",
-    "validate_model",
+    "validate",
 ]
 
 __version__ = "0.1.0"

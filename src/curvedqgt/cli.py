@@ -26,7 +26,7 @@ from . import fidelity as fid
 from . import geometry as geo
 from . import models as mdl
 from . import spectrum as spec
-from .core import EngineError
+from .core import EngineError, validate
 from .diffops import FdConfig
 from .quadrature import QuadratureConfig
 
@@ -124,9 +124,10 @@ model_options = _options(
     click.option("--hbar", type=float, default=1.0, show_default=True),
     _param_options(_PARAM_FLAGS),
 )
+_positive = click.FloatRange(min=0.0, min_open=True)
 engine_options = _options(
-    click.option("--quad-rel-tol", type=float, default=1e-10, show_default=True),
-    click.option("--fd-step", type=float, default=1e-4, show_default=True),
+    click.option("--quad-rel-tol", type=_positive, default=1e-10, show_default=True),
+    click.option("--fd-step", type=_positive, default=1e-4, show_default=True),
 )
 
 
@@ -184,6 +185,8 @@ def _parse_n(model, text) -> tuple:
         n = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise click.UsageError(f"bad --n '{text}'; expected comma-separated integers")
+    if min(n) < 0:
+        raise click.UsageError(f"bad --n '{text}'; quantum numbers are non-negative")
     if len(n) != model.dim:
         raise click.UsageError(
             f"model {model.name} expects a {model.dim}-component quantum "
@@ -476,7 +479,7 @@ def cmd_sweep(model_name, hbar, quad_rel_tol, fd_step, jobs, fmt, out,
 @engine_options
 @io_options
 @click.option("--n", "n_str", default=None, help="quantum number")
-@click.option("--samples", type=int, default=5, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--route-tol", type=float, default=1e-4, show_default=True)
 @click.option("--mis-normalize", type=float, default=1.0, hidden=True)
@@ -506,70 +509,23 @@ def cmd_validate(model_name, hbar, quad_rel_tol, fd_step, out,
         rng = np.random.default_rng(seed)
         points = [model.sample_parameters(rng) for _ in range(samples)]
 
-    checks = {"route_equivalence": 0.0, "gauge_invariance": 0.0,
-              "connection_shift": 0.0, "normalization_identity": 0.0,
-              "norm_deviation": 0.0}
     try:
-        for lamv in points:
-            domain = model.domain_for(lamv)
-            engine = geo.GeometryEngine(psi, model.metric, domain, cfg,
-                                        in_domain=model.in_domain)
-            tensors = engine.qgt(lamv, n)
-            chi = fid.fidelity_susceptibility(
-                psi, model.metric, domain, lamv, n, cfg, in_domain=model.in_domain)
-            checks["route_equivalence"] = max(
-                checks["route_equivalence"],
-                float(np.max(np.abs(chi - tensors.qmt))))
-
-            coeff = 0.37
-            alpha = lambda lv: coeff * lv[0] ** 2
-            grad_alpha = np.zeros(model.m)
-            grad_alpha[0] = 2 * coeff * lamv[0]
-            psi_g = geo.gauge_transform(
-                psi, alpha,
-                alpha_grad=lambda lv, rho: 2 * coeff * lv[0] if rho == 0 else 0.0,
-            )
-            engine_g = geo.GeometryEngine(psi_g, model.metric, domain, cfg,
-                                          in_domain=model.in_domain)
-            tensors_g = engine_g.qgt(lamv, n)
-            checks["gauge_invariance"] = max(
-                checks["gauge_invariance"],
-                float(np.max(np.abs(tensors_g.qmt - tensors.qmt))),
-                float(np.max(np.abs(tensors_g.berry_curvature
-                                    - tensors.berry_curvature))))
-            checks["connection_shift"] = max(
-                checks["connection_shift"],
-                float(np.max(np.abs(tensors_g.berry_connection
-                                    - tensors.berry_connection - grad_alpha))))
-
-            br = engine.bracket_set(lamv, n)
-            checks["normalization_identity"] = max(
-                checks["normalization_identity"],
-                float(np.max(np.abs(2.0 * br["c"].real - 0.5 * br["s"]))))
-
-            nrm, _ = engine.norm(lamv, n)
-            checks["norm_deviation"] = max(checks["norm_deviation"],
-                                           abs(nrm - 1.0))
+        report = validate(psi, model.metric, model.domain_for, points, n, cfg,
+                          in_domain=model.in_domain, route_tol=route_tol)
     except EngineError as exc:
         _fail(3, type(exc).__name__, str(exc))
 
-    tolerances = {"route_equivalence": route_tol, "gauge_invariance": 1e-7,
-                  "connection_shift": 1e-8, "normalization_identity": 1e-7,
-                  "norm_deviation": 1e-6}
-    report = {
+    checks = {name: {"max_deviation": dev, "tolerance": tol, "pass": bool(dev <= tol)}
+              for name, (dev, tol) in report.checks.items()}
+    _emit([json.dumps({
         "model": model.name,
         "points": [dict(zip(model.parameter_names, map(float, p)))
-                   for p in points],
-        "checks": {
-            name: {"max_deviation": dev, "tolerance": tolerances[name],
-                   "pass": bool(dev <= tolerances[name])}
-            for name, dev in checks.items()
-        },
-    }
-    report["pass"] = all(c["pass"] for c in report["checks"].values())
-    _emit([json.dumps(report, sort_keys=True)], out)
-    if not report["pass"]:
-        failing = [k for k, v in report["checks"].items() if not v["pass"]]
+                   for p in report.points],
+        "checks": checks,
+        "pass": report.ok,
+    }, sort_keys=True)], out)
+    if not report.ok:
+        failing = [k for k, v in checks.items() if not v["pass"]]
         sys.stderr.write(f"validation failed: {', '.join(failing)}\n")
         raise SystemExit(1)
 
@@ -587,6 +543,8 @@ def cmd_spectrum(model_name, hbar, fmt, out, k, grid_size, **param_flags):
     lamv = _param_point(model, param_flags)
     try:
         levels = spec.model_spectrum(model, lamv, k, n_points=grid_size)
+    except ValueError as exc:  # a --k or --grid-size the solver cannot serve
+        raise click.UsageError(str(exc))
     except EngineError as exc:
         _fail(3, type(exc).__name__, str(exc))
     if fmt == "jsonl":
@@ -606,7 +564,7 @@ def cmd_spectrum(model_name, hbar, fmt, out, k, grid_size, **param_flags):
               help="level-set energies, repeatable")
 @click.option("--levels", type=int, default=0,
               help="emit this many automatic energies 0.5, 1.0, ...")
-@click.option("--samples", type=int, default=200, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=200, show_default=True)
 def cmd_phase_portrait(p_lambda, p_omega, fmt, out, energies, levels, samples):
     """Classical level sets of the exponential-metric system."""
     omega = 1.0 if p_omega is None else p_omega

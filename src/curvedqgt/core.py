@@ -1,4 +1,4 @@
-"""Shared domain types, error hierarchy, and model validation.
+"""Shared domain types, error hierarchy, and validation.
 
 Conventions used across the package:
 
@@ -9,6 +9,11 @@ Conventions used across the package:
   broadcastable array per axis, e.g. ``eval(lam, n, x)`` in one dimension
   and ``eval(lam, n, x, y)`` in two.
 * Quantum numbers are tuples; a bare integer is promoted to a 1-tuple.
+
+:func:`validate` is the one validation path, whose report ``curvedqgt
+validate`` serializes: it checks the metric and sigma on a fixed sample,
+then the fidelity route, gauge covariance, the normalization identity and
+the norm against their tolerances.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -47,7 +52,7 @@ __all__ = [
     "ValidationReport",
     "param_values",
     "as_quantum_number",
-    "validate_model",
+    "validate",
 ]
 
 
@@ -72,7 +77,7 @@ class DimensionMismatchError(EngineError):
 
 
 class MetricPositivityError(EngineError):
-    """The metric failed a positive-definiteness or finiteness check."""
+    """The metric failed a positive-definiteness, symmetry or finiteness check."""
 
     def __init__(self, message: str, location=None):
         self.location = location
@@ -431,111 +436,130 @@ class GeometricTensors:
 
 
 # ---------------------------------------------------------------------------
-# Model validation
+# Validation
 # ---------------------------------------------------------------------------
+
+# the metric and sigma are checked on this interior sample of each point's
+# domain before anything is integrated
+_SAMPLE_SIZE = 64
+_SAMPLE_SEED = 2023
+_SYMMETRY_TOL = 1e-10
+# the gauge checks apply the phase alpha = 0.37 lambda_0^2
+_GAUGE_COEFF = 0.37
+_CHECK_TOLERANCES = {"gauge_invariance": 1e-7, "connection_shift": 1e-8,
+                     "normalization_identity": 1e-7, "norm_deviation": 1e-6}
+
 
 @dataclass
 class ValidationReport:
-    norm_deviation: float
-    metric_min_eigenvalue: float
-    sigma_max_abs: float
-    n_samples: int
-    problems: list = field(default_factory=list)
+    """Checks over ``points``: each name maps to (max_deviation, tolerance)."""
+
+    points: list
+    checks: dict
 
     @property
     def ok(self) -> bool:
-        return not self.problems
+        return all(dev <= tol for dev, tol in self.checks.values())
 
 
-def _sample_points(domain: Domain, n_samples: int, rng: np.random.Generator):
-    """Draw interior sample points, one array per axis."""
-    axes_samples = []
+def _check_metric_samples(metric: MetricFamily, domain: Domain, lamv,
+                          fd, in_domain) -> None:
+    """Raise unless g is finite, symmetric and positive-definite and every
+    sigma_rho is finite on a fixed interior sample of ``domain``."""
+    from .diffops import d_log_det_g
+
+    rng = np.random.default_rng(_SAMPLE_SEED)
+    axes = []
     for ax in domain.axes:
-        q = rng.uniform(0.05, 0.95, size=n_samples)
-        lo, hi = ax.lo, ax.hi
-        if ax.even_fold:
-            lo = 0.0
+        q = rng.uniform(0.05, 0.95, size=_SAMPLE_SIZE)
+        lo, hi = (0.0 if ax.even_fold else ax.lo), ax.hi
         if np.isinf(lo) and np.isinf(hi):
-            pts = np.tan(np.pi * (q - 0.5)) * 1.5
-        elif np.isinf(hi):
-            pts = lo + np.tan(0.5 * np.pi * q) * 1.5
-        elif np.isinf(lo):
-            pts = hi - np.tan(0.5 * np.pi * q) * 1.5
+            axes.append(np.tan(np.pi * (q - 0.5)) * 1.5)
+        elif np.isinf(lo) or np.isinf(hi):
+            end, sign = (hi, -1.0) if np.isinf(lo) else (lo, 1.0)
+            axes.append(end + sign * np.tan(0.5 * np.pi * q) * 1.5)
         else:
-            pts = lo + (hi - lo) * q
-        axes_samples.append(pts)
-    return axes_samples
+            axes.append(lo + (hi - lo) * q)
+
+    def fail(what, bad):
+        loc = tuple(float(s[bad]) for s in axes)
+        raise MetricPositivityError(f"{what} at sampled x = {loc}", location=loc)
+
+    g = np.asarray(metric.eval(lamv, *axes))
+    finite = np.all(np.isfinite(g), axis=(-2, -1))
+    if not np.all(finite):
+        fail("metric eval returned a non-finite value", np.argmin(finite))
+    asym = np.max(np.abs(g - np.swapaxes(g, -1, -2)), axis=(-2, -1))
+    if np.max(asym) > _SYMMETRY_TOL:
+        fail(f"metric asymmetry {np.max(asym):.3e}", np.argmax(asym))
+    min_eig = np.min(np.linalg.eigvalsh(g), axis=-1)
+    if np.min(min_eig) <= 0.0:
+        fail("metric not positive-definite", np.argmin(min_eig))
+    for rho in range(lamv.size):
+        finite = np.isfinite(np.broadcast_to(d_log_det_g(
+            metric, lamv, rho, fd, *axes, in_domain=in_domain), min_eig.shape))
+        if not np.all(finite):
+            fail(f"sigma_{rho} non-finite", np.argmin(finite))
 
 
-def validate_model(metric: MetricFamily, psi: WavefunctionFamily, domain: Domain,
-                   lam, n=(0,), cfg=None, n_samples: int = 64,
-                   seed: int = 2023) -> ValidationReport:
-    """Cross-check a (metric, state, domain) triple at one parameter point.
+def validate(psi: WavefunctionFamily, metric: MetricFamily, domain_for: Callable,
+             points: Sequence, n=(0,), cfg=None, in_domain=None,
+             route_tol: float = 1e-4) -> ValidationReport:
+    """Cross-check a (state, metric) family at each parameter point.
 
-    Samples positive-definiteness of g, the curved norm of psi, and the
-    finiteness of the curvature source sigma_rho.  Raises on dimension
-    mismatches and non-finite or non-positive-definite metric samples;
-    softer findings are collected in the report's problem list.
+    At each point a non-finite, asymmetric or non-positive-definite metric,
+    or a non-finite sigma, on a fixed interior sample of ``domain_for(lam)``
+    raises ``MetricPositivityError`` with its location.  Five checks then
+    keep their largest deviation over the points: ``route_equivalence``
+    (fidelity susceptibility against the metric), ``gauge_invariance`` (G
+    and F under psi -> exp(i alpha) psi), ``connection_shift`` (beta moves
+    by grad alpha), ``normalization_identity`` (2 Re c = s / 2) and
+    ``norm_deviation`` (|<psi|psi> - 1| from the cached Gram matrix).
     """
-    from . import geometry  # local import to keep core dependency-free
-    from .diffops import FdConfig, d_log_det_g
-    from .quadrature import QuadratureConfig
+    from . import fidelity, geometry
 
+    if not len(points):
+        raise ValueError("validation needs at least one parameter point")
     if psi.dim != metric.dim:
         raise DimensionMismatchError("psi.dim", metric.dim, psi.dim)
-    if domain.dim != metric.dim:
-        raise DimensionMismatchError("domain.dim", metric.dim, domain.dim)
-
-    lamv = param_values(lam)
     n = as_quantum_number(n)
-    rng = np.random.default_rng(seed)
-    axes_samples = _sample_points(domain, n_samples, rng)
-
-    g = np.asarray(metric.eval(lamv, *axes_samples))
-    if not np.all(np.isfinite(g)):
-        bad = np.argwhere(~np.all(np.isfinite(g), axis=(-2, -1)))[0]
-        loc = tuple(float(s[bad[0]]) for s in axes_samples)
-        raise MetricPositivityError(
-            f"metric eval returned a non-finite value at x = {loc}", location=loc
-        )
-    sym_res = float(np.max(np.abs(g - np.swapaxes(g, -1, -2))))
-    eigs = np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, -1, -2)))
-    min_eig = float(np.min(eigs))
-    if min_eig <= 0.0:
-        bad = int(np.argmin(np.min(eigs, axis=-1)))
-        loc = tuple(float(s[bad]) for s in axes_samples)
-        raise MetricPositivityError(
-            f"metric not positive-definite at sampled x = {loc}", location=loc
-        )
-
-    problems = []
-    if sym_res > 1e-10:
-        problems.append(f"metric asymmetry {sym_res:.3e} at sampled points")
-
-    if cfg is None:
-        cfg = geometry.EngineConfig()
-    norm = geometry.inner_product(
-        geometry.state_of(psi, n), geometry.state_of(psi, n),
-        metric, domain, lamv, cfg
+    cfg = cfg or geometry.EngineConfig()
+    tolerances = {"route_equivalence": route_tol, **_CHECK_TOLERANCES}
+    devs = dict.fromkeys(tolerances, 0.0)
+    psi_g = geometry.gauge_transform(
+        psi, lambda lv: _GAUGE_COEFF * lv[0] ** 2,
+        alpha_grad=lambda lv, rho: 2 * _GAUGE_COEFF * lv[0] if rho == 0 else 0.0,
     )
-    norm_dev = abs(norm[0] - 1.0)
+    for lam in points:
+        lamv = param_values(lam)
+        domain = domain_for(lamv)
+        if domain.dim != metric.dim:
+            raise DimensionMismatchError("domain.dim", metric.dim, domain.dim)
+        _check_metric_samples(metric, domain, lamv, cfg.fd, in_domain)
 
-    fd = cfg.fd if hasattr(cfg, "fd") else FdConfig()
-    sigma_max = 0.0
-    for rho in range(lamv.size):
-        sig = -d_log_det_g(metric, lamv, rho, fd, *axes_samples)
-        if not np.all(np.isfinite(sig)):
-            problems.append(f"sigma_{rho} non-finite at sampled points")
-        else:
-            sigma_max = max(sigma_max, float(np.max(np.abs(sig))))
-
-    if norm_dev > 1e-6:
-        problems.append(f"norm deviation {norm_dev:.3e} exceeds 1e-6")
+        engine = geometry.GeometryEngine(psi, metric, domain, cfg, in_domain=in_domain)
+        tensors = engine.qgt(lamv, n)
+        chi = fidelity.fidelity_susceptibility(
+            psi, metric, domain, lamv, n, cfg, in_domain=in_domain)
+        tensors_g = geometry.GeometryEngine(
+            psi_g, metric, domain, cfg, in_domain=in_domain).qgt(lamv, n)
+        grad_alpha = np.zeros(lamv.size)
+        grad_alpha[0] = 2 * _GAUGE_COEFF * lamv[0]
+        br = engine.bracket_set(lamv, n)
+        residues = {
+            "route_equivalence": [chi - tensors.qmt],
+            "gauge_invariance": [tensors_g.qmt - tensors.qmt,
+                                 tensors_g.berry_curvature - tensors.berry_curvature],
+            "connection_shift": [tensors_g.berry_connection
+                                 - tensors.berry_connection - grad_alpha],
+            "normalization_identity": [2.0 * br["c"].real - 0.5 * br["s"]],
+            "norm_deviation": [engine.norm(lamv, n)[0] - 1.0],
+        }
+        # np.max, unlike max, keeps a NaN residue, which then fails its check
+        for name, arrays in residues.items():
+            devs[name] = float(np.max([devs[name], *(np.max(np.abs(a)) for a in arrays)]))
 
     return ValidationReport(
-        norm_deviation=float(norm_dev),
-        metric_min_eigenvalue=min_eig,
-        sigma_max_abs=sigma_max,
-        n_samples=n_samples,
-        problems=problems,
+        points=[param_values(p) for p in points],
+        checks={name: (dev, tolerances[name]) for name, dev in devs.items()},
     )

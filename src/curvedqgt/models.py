@@ -328,6 +328,23 @@ def morse_g_ll(lam: float, omega: float, hbar: float = 1.0) -> float:
     return val / (16.0 * lam * lam)
 
 
+def morse_g_lw(lam: float, omega: float, hbar: float = 1.0) -> float:
+    """Closed form of the lam-omega metric component for the Morse-like model.
+
+    In u = e^(-lam x / 2) the measure sqrt(g) dx is du and the state is a
+    half-line Gaussian, so s = omega u^2 / hbar follows Gamma(1/2).  The
+    metric is the covariance of the log-derivatives of g^(1/4) psi,
+    d_omega = (1/2 - s) / (2 omega) and d_lam = 1/(2 lam) + x (s - 1/2) / 2
+    with x = -ln(hbar s / omega) / lam.  With E[s^p ln s] =
+    Gamma(1/2 + p) digamma(1/2 + p) / Gamma(1/2), the mean of
+    ln s (s - 1/2)^2 is 1 + digamma(1/2) / 2 and that of (s - 1/2)^2 is 1/2;
+    with digamma(1/2) = -gamma_E - 2 ln 2 this gives
+    G_lw = (2 - gamma_E - ln(4 omega / hbar)) / (8 lam omega), which changes
+    sign at omega_c = (hbar / 4) e^(2 - gamma_E).
+    """
+    return (2.0 - np.euler_gamma - math.log(4.0 * omega / hbar)) / (8.0 * lam * omega)
+
+
 def morse_like(hbar: float = 1.0) -> ModelSpec:
     def metric_det(lamv, x):
         lam = lamv[0]
@@ -389,6 +406,7 @@ def morse_like(hbar: float = 1.0) -> ModelSpec:
 
     refs = {
         "qmt_ll": lambda n, lamv: morse_g_ll(lamv[0], lamv[1], hbar),
+        "qmt_lw": lambda n, lamv: morse_g_lw(lamv[0], lamv[1], hbar),
         "qmt_ww": lambda n, lamv: 1.0 / (8.0 * lamv[1] ** 2),
         "berry_curvature": lambda n, lamv: np.zeros((2, 2)),
         "energy": ref_energy,

@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _END_OFFSET = 1e-8  # inward nudge for coefficient evaluation at degenerate endpoints
+_LEVELS_PER_PASS = 10  # levels one boundary pass solves for
 # grid-family solves kept per family: every stencil point of a 4th-order
 # derivative (4 per parameter) for up to 8 parameters
 _SOLVE_CACHE_SIZE = 32
@@ -112,6 +113,8 @@ def make_grid(model: ModelSpec, lam, n_points: int = 2000,
         raise EngineError(f"model {model.name} declares no spectral coordinate")
     if model.dim != 1:
         raise EngineError("the spectral solver is one-dimensional")
+    if n_points < 1:
+        raise ValueError(f"a grid needs at least one point, got {n_points}")
     lamv = param_values(lam)
     tr = model.domain_for(lamv).axes[0].transform
     if tr is None:
@@ -187,8 +190,9 @@ def eigensolve(dh: DiscreteHamiltonian, k: int):
     """k lowest eigenpairs of H phi = E W phi, W-orthonormal, with residuals."""
     import scipy.linalg
 
-    if k > 10:
-        raise ValueError("eigensolve serves the lowest k <= 10 levels")
+    if k > min(_LEVELS_PER_PASS, dh.grid.n):
+        raise ValueError(f"eigensolve serves at most {_LEVELS_PER_PASS} levels and "
+                         f"one per grid point; asked for {k} on {dh.grid.n} points")
     if k <= 0:
         return []
     winv = 1.0 / np.sqrt(dh.weights)
@@ -215,10 +219,10 @@ def eigensolve(dh: DiscreteHamiltonian, k: int):
 def model_spectrum(model: ModelSpec, lam, k: int, n_points: int = 2000):
     """Lowest k levels, merging boundary-condition passes when declared.
 
-    Returns a list of (energy, residual) sorted by energy.
+    Returns a list of (energy, residual) sorted by energy.  Each pass
+    solves at most 10 levels, so a model with one pass gives at most 10
+    and one with two passes at most 20; asking for more raises ValueError.
     """
-    if k <= 0:
-        return []
     levels = solve_levels(model, lam, k, n_points)
     return [(e, r) for e, _, r, _ in levels]
 
@@ -228,14 +232,18 @@ def solve_levels(model: ModelSpec, lam, k: int, n_points: int = 2000,
     """Merged eigenpairs (energy, phi, residual, pass_index) across passes."""
     if model.spectral is None:
         raise EngineError(f"model {model.name} declares no spectral coordinate")
+    cap = _LEVELS_PER_PASS * len(model.spectral.left_boundaries)
+    if not 0 <= k <= cap:
+        raise ValueError(f"model {model.name} solves 0 to {cap} levels; asked for {k}")
+    if k == 0:
+        return []
     lamv = param_values(lam)
     base = grid or make_grid(model, lamv, n_points, n_max=2 * k + 3)
     merged = []
     for idx, left in enumerate(model.spectral.left_boundaries):
         g = base.with_boundary(left)
         dh = build_hamiltonian(model, g, lamv)
-        per_pass = min(10, k)
-        for e, phi, res in eigensolve(dh, per_pass):
+        for e, phi, res in eigensolve(dh, min(_LEVELS_PER_PASS, k)):
             merged.append((e, phi, res, idx))
     merged.sort(key=lambda t: t[0])
     return merged[:k]

@@ -331,6 +331,15 @@ def test_validate_mis_normalized_exits_1(runner):
     assert not report["checks"]["norm_deviation"]["pass"]
 
 
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_validate_without_samples_exits_2(runner, samples):
+    """Zero sampled points would pass every check vacuously."""
+    result = runner.invoke(main, ["validate", "--model", "anharmonic-1d",
+                                  "--samples", samples])
+    assert result.exit_code == 2
+    assert "--samples" in result.output
+
+
 def test_spectrum_command(runner):
     result = _invoke(runner, [
         "spectrum", "--model", "anharmonic-1d", "--lambda", "1", "--omega", "1",
@@ -350,6 +359,24 @@ def test_spectrum_zero_levels(runner):
     assert result.exit_code == 0
     rows = list(csv.DictReader(io.StringIO(result.stdout)))
     assert rows == []
+
+
+@pytest.mark.parametrize("model,params,k,cap", [
+    ("flat-oscillator-1d", ["--omega", "1"], "11", 10),
+    ("morse-like", ["--lambda", "1", "--omega", "1"], "12", 10),
+    ("anharmonic-1d", ["--lambda", "1", "--omega", "1"], "21", 20),
+    ("anharmonic-1d", ["--lambda", "1", "--omega", "1"], "-1", 20),
+])
+def test_spectrum_beyond_level_cap_exits_2(runner, model, params, k, cap):
+    result = runner.invoke(main, ["spectrum", "--model", model, *params, "--k", k])
+    assert result.exit_code == 2
+    assert f"0 to {cap} levels" in result.output
+
+
+def test_spectrum_at_level_cap_gives_every_level(runner):
+    result = _invoke(runner, ["spectrum", *ANHARMONIC, "--k", "20"])
+    assert result.exit_code == 0
+    assert len(list(csv.DictReader(io.StringIO(result.stdout)))) == 20
 
 
 def test_phase_portrait_turning_point(runner):
@@ -410,3 +437,20 @@ def test_option_a_command_does_not_read_exits_2(runner, command, flag):
     result = runner.invoke(main, [command, flag, value])
     assert result.exit_code == 2
     assert "No such option" in result.output
+
+
+_BAD_NUMERIC_OPTIONS = [
+    ["compute", *ANHARMONIC, "--quad-rel-tol", "0"],
+    ["compute", *ANHARMONIC, "--fd-step", "-1"],
+    ["compute", *ANHARMONIC, "--n", "-1"],
+    ["phase-portrait", "--samples", "-1"],
+    ["spectrum", *ANHARMONIC, "--grid-size", "0"],
+    ["spectrum", *ANHARMONIC, "--grid-size", "3", "--k", "4"],
+]
+
+
+@pytest.mark.parametrize("args", _BAD_NUMERIC_OPTIONS, ids=" ".join)
+def test_bad_numeric_option_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Error:" in result.output

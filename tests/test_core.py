@@ -12,7 +12,7 @@ from curvedqgt.core import (
     MetricPositivityError,
     ParameterPoint,
     WavefunctionFamily,
-    validate_model,
+    validate,
 )
 
 from conftest import make_engine
@@ -57,21 +57,25 @@ def test_domain_transform_roundtrip(anharmonic, morse, coupled):
 
 
 def test_validate_anharmonic_norm(anharmonic):
-    report = validate_model(
-        anharmonic.metric, anharmonic.psi, anharmonic.domain_for([1.0, 1.0]),
-        np.array([1.0, 1.0]),
-    )
-    assert report.norm_deviation <= 1e-8
+    report = validate(anharmonic.psi, anharmonic.metric, anharmonic.domain_for,
+                      [np.array([1.0, 1.0])], in_domain=anharmonic.in_domain)
+    assert report.checks["norm_deviation"][0] <= 1e-8
     assert report.ok
-    assert report.metric_min_eigenvalue > 0
+    assert set(report.checks) == {"route_equivalence", "gauge_invariance",
+                                  "connection_shift", "normalization_identity",
+                                  "norm_deviation"}
 
 
 def test_validate_coupled_norm(coupled):
-    report = validate_model(
-        coupled.metric, coupled.psi, coupled.domain_for([1.0, 1.0, 1.0, 1.0]),
-        np.array([1.0, 1.0, 1.0, 1.0]), n=(0, 0),
-    )
-    assert report.norm_deviation <= 1e-6
+    report = validate(coupled.psi, coupled.metric, coupled.domain_for,
+                      [np.array([1.0, 1.0, 1.0, 1.0])], n=(0, 0),
+                      in_domain=coupled.in_domain)
+    assert report.checks["norm_deviation"][0] <= 1e-6
+
+
+def _validate_with_metric(anharmonic, metric):
+    return validate(anharmonic.psi, metric, anharmonic.domain_for,
+                    [np.array([1.0, 1.0])])
 
 
 def test_validate_rejects_non_positive_metric(anharmonic):
@@ -81,8 +85,7 @@ def test_validate_rejects_non_positive_metric(anharmonic):
         det=lambda lamv, x: -np.ones(np.shape(x)),
     )
     with pytest.raises(MetricPositivityError, match="not positive-definite"):
-        validate_model(bad, anharmonic.psi, anharmonic.domain_for([1.0, 1.0]),
-                       np.array([1.0, 1.0]))
+        _validate_with_metric(anharmonic, bad)
 
 
 def test_validate_reports_non_finite_metric_location(anharmonic):
@@ -93,16 +96,57 @@ def test_validate_reports_non_finite_metric_location(anharmonic):
 
     bad = MetricFamily(dim=1, eval=nan_eval)
     with pytest.raises(MetricPositivityError) as err:
-        validate_model(bad, anharmonic.psi, anharmonic.domain_for([1.0, 1.0]),
-                       np.array([1.0, 1.0]))
+        _validate_with_metric(anharmonic, bad)
     assert err.value.location is not None
+
+
+def test_validate_rejects_asymmetric_metric(coupled):
+    def skewed(lamv, x, y):
+        g = np.array(coupled.metric.eval(lamv, x, y))
+        g[..., 0, 1] += 1e-6
+        return g
+
+    bad = MetricFamily(dim=2, eval=skewed, det=coupled.metric.det,
+                       analytic_log_det_grad=coupled.metric.analytic_log_det_grad)
+    with pytest.raises(MetricPositivityError, match="asymmetry") as err:
+        validate(coupled.psi, bad, coupled.domain_for,
+                 [np.array([1.0, 1.0, 1.0, 1.0])], n=(0, 0))
+    assert len(err.value.location) == 2
+
+
+def test_validate_rejects_non_finite_sigma(anharmonic):
+    metric = anharmonic.metric
+    bad = dataclasses.replace(
+        metric, analytic_log_det_grad=lambda lamv, rho, x: np.full(np.shape(x), np.inf))
+    with pytest.raises(MetricPositivityError, match="sigma_0 non-finite"):
+        _validate_with_metric(anharmonic, bad)
+
+
+def test_validate_needs_a_point(anharmonic):
+    with pytest.raises(ValueError, match="at least one parameter point"):
+        validate(anharmonic.psi, anharmonic.metric, anharmonic.domain_for, [])
+
+
+def test_validate_nan_residue_fails_its_check(anharmonic, monkeypatch):
+    from curvedqgt import fidelity
+
+    monkeypatch.setattr(fidelity, "fidelity_susceptibility",
+                        lambda *args, **kw: np.full((2, 2), np.nan))
+    report = validate(anharmonic.psi, anharmonic.metric, anharmonic.domain_for,
+                      [np.array([1.0, 1.0])], in_domain=anharmonic.in_domain)
+    assert np.isnan(report.checks["route_equivalence"][0])
+    assert not report.ok
 
 
 def test_validate_dimension_mismatch(anharmonic, coupled):
     with pytest.raises(DimensionMismatchError) as err:
-        validate_model(anharmonic.metric, coupled.psi,
-                       anharmonic.domain_for([1.0, 1.0]), np.array([1.0, 1.0]))
+        validate(coupled.psi, anharmonic.metric, anharmonic.domain_for,
+                 [np.array([1.0, 1.0])])
     assert err.value.field_name == "psi.dim"
+    with pytest.raises(DimensionMismatchError) as err:
+        validate(anharmonic.psi, anharmonic.metric, coupled.domain_for,
+                 [np.array([1.0, 1.0, 1.0, 1.0])])
+    assert err.value.field_name == "domain.dim"
 
 
 def test_geometric_tensors_invariants(generalized):

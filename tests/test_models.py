@@ -274,3 +274,23 @@ def test_phase_portrait_needs_nonzero_lambda():
 def test_morse_critical_omega_redetected():
     w0 = morse_critical_omega(lam=0.05, bracket=(0.9, 1.2), xtol=1e-7)
     assert abs(w0 - 1.037) < 1e-3
+
+
+def test_morse_critical_omega_matches_closed_form():
+    """The engine's root sits on omega_c = (hbar/4) e^(2 - gamma_E)."""
+    omega_c = 0.25 * math.exp(2.0 - np.euler_gamma)
+    assert omega_c == pytest.approx(1.0371639053380866, abs=1e-15)
+    w0 = morse_critical_omega(lam=0.05, bracket=(0.9, 1.2), xtol=1e-13)
+    assert abs(w0 - 1.037) < 1e-3
+    assert abs(w0 - omega_c) < 1e-12
+
+
+@pytest.mark.parametrize("hbar", [0.7, 1.0, 2.0])
+def test_morse_off_diagonal_matches_closed_form(hbar):
+    model = models.get_model("morse-like", hbar=hbar, verify=False)
+    for lam in ((-0.8, 0.3), (0.05, 1.0), (0.5, 1.7), (1.0, 1.0), (1.3, 3.0),
+                (2.0, 0.6)):
+        lamv = np.array(lam)
+        qmt = make_engine(model, lamv).qmt(lamv, (0,))
+        ref = models.analytic_reference(model, "qmt_lw", 0, lamv)
+        assert abs(qmt[0, 1] - ref) <= 1e-13 * np.max(np.abs(qmt)), (hbar, lam)

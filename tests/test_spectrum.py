@@ -83,6 +83,24 @@ def test_eigensolve_bounds():
     assert sp.eigensolve(dh, 0) == []
     with pytest.raises(ValueError):
         sp.eigensolve(dh, 11)
+    coarse = sp.build_hamiltonian(flat, sp.make_grid(flat, np.array([1.0]), 3))
+    with pytest.raises(ValueError, match="on 3 points"):
+        sp.eigensolve(coarse, 4)
+    with pytest.raises(ValueError, match="at least one point"):
+        sp.make_grid(flat, np.array([1.0]), 0)
+
+
+@pytest.mark.parametrize("name,lam,cap", [
+    ("flat-oscillator-1d", [1.0], 10), ("morse-like", [1.0, 1.0], 10),
+    ("anharmonic-1d", [1.0, 1.0], 20), ("generalized-anharmonic", [1.0, 0.3, 1.2], 20),
+])
+def test_spectrum_raises_beyond_level_cap(name, lam, cap):
+    """Asking for more levels than the passes solve raises, naming the cap."""
+    model = models.get_model(name, verify=False)
+    with pytest.raises(ValueError, match=f"0 to {cap} levels; asked for {cap + 1}"):
+        sp.model_spectrum(model, np.array(lam), cap + 1)
+    with pytest.raises(ValueError, match=f"0 to {cap} levels"):
+        sp.model_spectrum(model, np.array(lam), -1)
 
 
 def test_non_positive_metric_rejected(flat):
