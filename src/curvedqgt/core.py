@@ -41,6 +41,7 @@ __all__ = [
     "EngineWarning",
     "ImaginaryResidueWarning",
     "LinearTermWarning",
+    "NormalizationWarning",
     "LruCache",
     "ParameterPoint",
     "MetricFamily",
@@ -152,6 +153,10 @@ class ImaginaryResidueWarning(EngineWarning):
 
 class LinearTermWarning(EngineWarning):
     """The fidelity expansion showed a non-vanishing linear term."""
+
+
+class NormalizationWarning(EngineWarning):
+    """A state's curved norm <psi|psi> differs noticeably from 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +404,8 @@ class GeometricTensors:
     part; ``berry_curvature`` the antisymmetric curvature F with
     F = 2 Im(qgt); ``berry_connection`` the real connection vector.
     ``quad_error`` sums the entrywise quadrature error estimates (the
-    change over the last level) of the Gram matrix that holds every
+    change over the last level, plus in 2-D the mass of the unrefined
+    tails) of the Gram matrix that holds every
     bracket of the assembly, and ``fd_steps`` records the parameter steps
     used for derivatives.
     """

@@ -18,7 +18,8 @@ U = [psi, d_1 psi .. d_m psi, sigma_1 psi .. sigma_m psi] are sampled once
 per quadrature node and contracted as U^H diag(sqrt(g) w) U, so a point
 costs one pass over the nodes however many brackets it needs, and the
 sigma factors, which may depend on x, stay inside the integrand.  Each
-entry's error is its change over the last quadrature level.  The quantum
+entry's error is its change over the last quadrature level, plus in 2-D
+the mass of the tails the product rule leaves unrefined.  The quantum
 geometric tensor comes from one assembly formula; the projector form
 <d_r(g^(1/4)psi)| P |d_k(g^(1/4)psi)> is kept as a test oracle with a Gram
 of its own columns v_r = d_r psi - sigma_r psi / 4.  A Berry loop needs
@@ -47,6 +48,7 @@ from .core import (
     ImaginaryResidueWarning,
     LruCache,
     MetricFamily,
+    NormalizationWarning,
     WavefunctionFamily,
     as_quantum_number,
     param_values,
@@ -71,6 +73,9 @@ BRACKET_CACHE_SIZE = 64
 HERMITICITY_GATE = 1e-7
 # largest imaginary connection part before ImaginaryResidueWarning
 CONNECTION_RESIDUE_WARN = 1e-6
+# largest |<psi|psi> - 1| before NormalizationWarning; the registry models
+# stay within 1e-15 and the grid-eigenvector families within 1e-10
+NORM_WARN = 1e-6
 # loosest relative tolerance of a Berry-loop segment integration
 SEGMENT_TOL = 1e-7
 # central differences of a gauge phase given without alpha_grad, and of ln|det J|
@@ -152,11 +157,14 @@ class GeometryEngine:
     def bracket(self, name, lamv, n, columns):
         """Gram matrix of column functions at one point: (value, error).
 
-        ``columns(*axes)`` returns k column values at the quadrature nodes.
-        Entry [a, b] of the value is <U_a|U_b> = integral sqrt(g) conj(U_a) U_b,
-        and the error matrix holds each entry's change over the last
-        quadrature level.  Both are read-only and cached under
-        (name, point, n, tolerances).
+        ``columns(*axes)`` returns k column values at the quadrature nodes,
+        the state psi first.  Entry [a, b] of the value is
+        <U_a|U_b> = integral sqrt(g) conj(U_a) U_b, and the error matrix
+        holds each entry's error estimate.  Both are read-only and cached
+        under (name, point, n, tolerances).  Computing one warns with
+        :class:`NormalizationWarning` when <psi|psi> is off 1 by more than
+        ``NORM_WARN``: the connection and the tensors assume a normalized
+        family, and a constant factor leaves no other trace in them.
         """
         metric = self.metric
 
@@ -166,6 +174,14 @@ class GeometryEngine:
 
         def compute():
             gram, err = _integrate(integrand, self.domain, self.cfg.quad)
+            norm = gram[0, 0].real
+            if abs(norm - 1.0) > NORM_WARN:
+                warnings.warn(
+                    f"<psi|psi> = {norm:.12g} at {lamv}; the family is not "
+                    "normalized there",
+                    NormalizationWarning,
+                    stacklevel=4,
+                )
             gram.flags.writeable = False
             err.flags.writeable = False
             return gram, err

@@ -10,7 +10,10 @@ Two schemes back every curved inner product:
   all earlier ones, and integrable endpoint behaviour is tolerated.  The
   rule never stops before level 2, so levels 0-2 share one pass over the
   level-2 mesh (one integrand call per 1-D axis) whose sum is split by the
-  level that adds each node; later levels take one pass each.
+  level that adds each node; later levels take one pass each.  A 2-D
+  product rule also reads from that pass one t window per axis, outside
+  of which the integrand's mass is negligible; later levels refine only
+  inside the windows, and the mass left out joins the error estimate.
 
 Integrands receive physical coordinates as arrays, one argument per axis,
 and must return values broadcast to the same shape.  An integrand may be
@@ -160,6 +163,9 @@ _H0 = 0.5
 # that its temporaries stay small and peak memory flat (2-D Gram columns
 # evaluated fastest per node between about 2.5k and 5k nodes per call)
 _CHUNK = 4096
+# a 2-D axis leaves unrefined the end runs of level-2 nodes whose summed
+# envelope mass stays below this fraction of abs_tol
+_TAIL_FRACTION = 1e-3
 
 
 def _node_values(out, x, ny=None):
@@ -179,18 +185,23 @@ def _node_values(out, x, ny=None):
     return vals
 
 
-def _block_sum(f, x, wx, y=None, wy=None, gx=None, gy=None):
+def _block_sum(f, x, wx, y=None, wy=None, gx=None, gy=None, marginals=False):
     """Weighted sums of ``f`` over the nodes x, or over the grid x times y.
 
     ``gx`` (``gy``) labels each node of x (y) with a group 0, 1, ...; a grid
     node belongs to the larger group of its two coordinates.  Label every
     axis or none; no labels means one group.  Returns one sum per group.
     The integrand is called once per chunk of at most ``_CHUNK`` nodes
-    (whole rows of the grid in 2-D), whatever the groups.
+    (whole rows of the grid in 2-D), whatever the groups.  In 2-D,
+    ``marginals`` also returns the row and the column sums of each node's
+    envelope, ``w * sum_c |U_c|^2`` for Gram columns and ``w * sum |f|``
+    otherwise, which bounds the node's share of every entry.
     """
     groups = 1 + max(0 if g is None else int(g.max()) for g in (gx, gy))
     step = max(1, _CHUNK // (1 if y is None else y.size))
     totals = [0.0] * groups
+    if marginals:
+        rows, cols = np.empty(x.size), np.zeros(y.size)
     for i in range(0, x.size, step):
         xs, w = x[i:i + step], wx[i:i + step]
         g = None if gx is None else gx[i:i + step]
@@ -207,49 +218,78 @@ def _block_sum(f, x, wx, y=None, wy=None, gx=None, gy=None):
         for j in range(groups):
             v, wj = (vals, w) if groups == 1 else (vals[..., g == j], w[g == j])
             totals[j] = totals[j] + ((v.conj() * wj) @ v.T if gram else v @ wj)
-    return totals
+        if marginals:
+            v = vals.reshape(-1, vals.shape[-1])
+            # einsum over the real and imaginary views makes no
+            # (columns, nodes) temporaries
+            size = (np.einsum("cn,cn->n", v.real, v.real)
+                    + np.einsum("cn,cn->n", v.imag, v.imag) if gram
+                    else np.abs(v).sum(axis=0))
+            env = (w * size).reshape(xs.size, y.size)
+            rows[i:i + step] = env.sum(axis=1)
+            cols += env.sum(axis=0)
+    return (totals, rows, cols) if marginals else totals
 
 
-def _axis_level(node_fn, t_cap: float, first: int, last: int):
-    """(x, w, group) at the nodes levels ``first`` to ``last`` add.
+def _axis_level(node_fn, span, first: int, last: int):
+    """(t, x, w, group) at the nodes levels ``first`` to ``last`` add in ``span``.
 
-    Level 0 holds every multiple of _H0 out to ``t_cap``; each later level
-    adds the odd multiples of its own step h = _H0 / 2^level.  On the mesh
-    of the last step, node k * h is added at the last level minus the
+    Level 0 holds every multiple of _H0 in the t range ``span``; each later
+    level adds the odd multiples of its own step h = _H0 / 2^level.  On the
+    mesh of the last step, node k * h is added at the last level minus the
     number of trailing zero bits of k (level 0 for k = 0); ``group`` is
     that level minus ``first``.
     """
     h = _H0 / 2 ** last
-    k_max = int(math.floor(t_cap / h))
-    k = np.arange(-k_max, k_max + 1)
+    k = np.arange(math.ceil(span[0] / h), math.floor(span[1] / h) + 1)
     added = np.full(k.shape, last)
     for j in range(1, last + 1):
         added -= k % 2 ** j == 0
     keep = added >= first
-    x, w = node_fn(k[keep] * h)
-    return x, w, added[keep] - first
+    t = k[keep] * h
+    x, w = node_fn(t)
+    return t, x, w, added[keep] - first
 
 
-def _refine(level_sums, dim: int, cfg: QuadratureConfig, rule: str):
+def _tail_window(mass, limit: float):
+    """Nodes [lo, hi) worth refining, and the mass of the nodes left out.
+
+    ``mass`` holds each node's share in t order.  The longest run of nodes
+    at each end whose summed mass stays below ``limit`` is dropped, except
+    for its innermost node: refinement stops at the last node it keeps, so
+    without it the panel between the kept edge node and the first dropped
+    one would never be refined, an error of order h that halves with every
+    level instead of vanishing.  The mass of both runs, innermost nodes
+    included, is returned as their bound.
+    """
+    head, tail = np.cumsum(mass), np.cumsum(mass[::-1])
+    lo = int(np.searchsorted(head, limit))
+    hi = min(int(np.searchsorted(tail, limit)), mass.size - lo)
+    dropped = (head[lo - 1] if lo else 0.0) + (tail[hi - 1] if hi else 0.0)
+    return max(lo - 1, 0), mass.size - max(hi - 1, 0), dropped
+
+
+def _refine(sums, level_sum, dim: int, cfg: QuadratureConfig, rule: str,
+            dropped: float = 0.0):
     """Nested trapezoid refinement over the steps h = _H0 / 2^level.
 
-    ``level_sums(first, last)`` returns, for each level from ``first`` to
-    ``last``, the sum of w * f over the nodes that level adds.  No level
-    before ``_FIRST_STOP`` can end the rule, so the first call asks for all
-    of them at once; each later call adds one level.  The earlier nodes keep
-    their sum, scaled by 1/2 per axis as h halves.  The error of each entry
-    is its change over the last level, and the rule stops once every entry
-    is within tolerance.
+    ``sums`` holds, for each level up to ``_FIRST_STOP``, the sum of w * f
+    over the nodes that level adds: no level before ``_FIRST_STOP`` can end
+    the rule, so one pass covers them all.  ``level_sum(level)`` returns
+    that sum for one later level.  The earlier nodes keep their sum, scaled
+    by 1/2 per axis as h halves.  The error of each entry is its change over
+    the last level plus ``dropped``, the mass of any nodes the later levels
+    leave unrefined, and the rule stops once every entry is within
+    tolerance.
     """
-    sums = level_sums(0, _FIRST_STOP)
     h = _H0
     acc = sums[0] * h ** dim
     prev, err = acc, np.inf
     for level in range(1, cfg.max_levels + 1):
         h *= 0.5
-        s = sums[level] if level <= _FIRST_STOP else level_sums(level, level)[0]
+        s = sums[level] if level <= _FIRST_STOP else level_sum(level)
         acc = acc * 0.5 ** dim + s * h ** dim
-        err = np.abs(acc - prev)
+        err = np.abs(acc - prev) + dropped
         if level >= _FIRST_STOP and np.all(err <= cfg.tolerance(acc)):
             return acc, err
         prev = acc
@@ -353,12 +393,15 @@ def integrate(f: Callable, domain: Domain, cfg: QuadratureConfig | None = None
             and math.isfinite(axis.lo) and math.isfinite(axis.hi)):
         return _integrate_gk(f, axis.lo, axis.hi, cfg)
     node_fn, t_cap = _axis_node_maker(axis)
+    span = (-t_cap, t_cap)
+    _, x, w, group = _axis_level(node_fn, span, 0, _FIRST_STOP)
 
-    def level_sums(first, last):
-        x, w, group = _axis_level(node_fn, t_cap, first, last)
-        return _block_sum(f, x, w, gx=group)
+    def level_sum(level):
+        _, x, w, _ = _axis_level(node_fn, span, level, level)
+        return _block_sum(f, x, w)[0]
 
-    return _refine(level_sums, 1, cfg, "double-exponential rule")
+    return _refine(_block_sum(f, x, w, gx=group), level_sum, 1, cfg,
+                   "double-exponential rule")
 
 
 def _as_axis(d) -> Axis:
@@ -378,28 +421,39 @@ def integrate_2d_product(f: Callable, domain_x, domain_y,
 
     ``f(x, y)`` must broadcast over a column of x values against a row of
     y values; it may be array-valued like a 1-D integrand.  Both axes are
-    refined together on nested double-exponential meshes, each spanning
-    its axis' full t range: a level evaluates only its new rows (new x
-    against every y) and new columns (old x against new y), and the error
-    of each entry is its change over the last level.
+    refined together on nested double-exponential meshes.  The first pass
+    covers the whole level-2 product mesh out to each axis' t cap.  From
+    the row and column sums of its node envelope (see ``_block_sum``) each
+    axis keeps one t window, dropping the end runs of level-2 nodes whose
+    mass sums below ``_TAIL_FRACTION * abs_tol`` (see ``_tail_window``).
+    Each later level evaluates only its new rows inside the x window
+    (against every y node in the y window) and its new columns inside the
+    y window (against the x nodes in the x window).  The error of each
+    entry is its change over the last level plus the mass the windows
+    drop.
     """
     if cfg is None:
         cfg = QuadratureConfig()
     ax, ay = _as_axis(domain_x), _as_axis(domain_y)
     nodes_x, cap_x = _axis_node_maker(ax)
     nodes_y, cap_y = _axis_node_maker(ay)
-    grid = []  # (x, wx, y, wy) of all nodes so far
+    tx, x, wx, gx = _axis_level(nodes_x, (-cap_x, cap_x), 0, _FIRST_STOP)
+    ty, y, wy, gy = _axis_level(nodes_y, (-cap_y, cap_y), 0, _FIRST_STOP)
+    sums, rows, cols = _block_sum(f, x, wx, y, wy, gx, gy, marginals=True)
+    h2 = (_H0 / 2 ** _FIRST_STOP) ** 2
+    limit = _TAIL_FRACTION * cfg.abs_tol
+    i0, i1, dropped_x = _tail_window(h2 * rows, limit)
+    j0, j1, dropped_y = _tail_window(h2 * cols, limit)
+    span_x, span_y = (tx[i0], tx[i1 - 1]), (ty[j0], ty[j1 - 1])
+    grid = [x[i0:i1], wx[i0:i1], y[j0:j1], wy[j0:j1]]  # in-window nodes so far
 
-    def level_sums(first, last):
-        x, wx, gx = _axis_level(nodes_x, cap_x, first, last)
-        y, wy, gy = _axis_level(nodes_y, cap_y, first, last)
-        if first == 0:
-            grid[:] = [x, wx, y, wy]
-            return _block_sum(f, x, wx, y, wy, gx, gy)
+    def level_sum(level):
+        _, x, wx, _ = _axis_level(nodes_x, span_x, level, level)
+        _, y, wy, _ = _axis_level(nodes_y, span_y, level, level)
         x0, wx0, y0, wy0 = grid
         y_all, wy_all = np.concatenate([y0, y]), np.concatenate([wy0, wy])
         total = _block_sum(f, x, wx, y_all, wy_all)[0] + _block_sum(f, x0, wx0, y, wy)[0]
         grid[:] = [np.concatenate([x0, x]), np.concatenate([wx0, wx]), y_all, wy_all]
-        return [total]
+        return total
 
-    return _refine(level_sums, 2, cfg, "product rule")
+    return _refine(sums, level_sum, 2, cfg, "product rule", dropped_x + dropped_y)

@@ -1,10 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
 
 from curvedqgt import geometry as geo
 from curvedqgt import models
-from curvedqgt.core import Domain, EngineError, ImaginaryResidueWarning, MetricFamily, WavefunctionFamily
+from curvedqgt.core import (
+    Domain,
+    EngineError,
+    ImaginaryResidueWarning,
+    MetricFamily,
+    NormalizationWarning,
+    WavefunctionFamily,
+)
 from curvedqgt.quadrature import QuadratureConfig, integrate
 
 from conftest import make_engine
@@ -115,6 +124,34 @@ def test_connection_residue_warning(anharmonic):
                              in_domain=anharmonic.in_domain)
     with pytest.warns(ImaginaryResidueWarning):
         eng.berry_connection(np.array([1.0, 1.0]), (0,))
+
+
+def test_constant_mis_normalization_warns_once_per_gram(anharmonic):
+    """A constant factor leaves the connection real, so only the norm entry
+    of the Gram shows it; the warning comes with the Gram's computation,
+    not with the cache hits that reuse it."""
+    scaled = WavefunctionFamily(
+        dim=1, eval=lambda lamv, n, x: 1.01 * anharmonic.psi.eval(lamv, n, x))
+    lam = np.array([1.0, 1.0])
+    eng = geo.GeometryEngine(scaled, anharmonic.metric, anharmonic.domain_for(lam),
+                             in_domain=anharmonic.in_domain)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eng.qgt(lam, (0,))
+        eng.berry_connection(lam, (0,))
+        eng.norm(lam, (0,))
+    assert [w.category for w in caught] == [NormalizationWarning]
+    assert "1.0201" in str(caught[0].message)
+
+
+@pytest.mark.filterwarnings("error::curvedqgt.core.NormalizationWarning")
+def test_registry_models_do_not_warn_on_normalization(all_models, flat):
+    rng = np.random.default_rng(11)
+    for model in (*all_models, flat):
+        for _ in range(2):
+            lam = model.sample_parameters(rng)
+            norm, _ = make_engine(model, lam).norm(lam, (0,) * model.dim)
+            assert abs(norm - 1.0) < 1e-12, model.name
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +552,12 @@ def test_loop_phase_is_gauge_invariant(generalized):
     assert abs(phases[1] - phases[0]) < 1e-10
 
 
+@pytest.mark.filterwarnings("ignore::curvedqgt.core.NormalizationWarning")
 def test_loop_warns_on_imaginary_residue(anharmonic):
     """A norm that drifts with lambda (psi scaled by 1.01 per unit) leaves an
     imaginary residue in the connection along every lambda edge.  A constant
-    factor would not: the residue is -(1/2) d<psi|psi>."""
+    factor would not: the residue is -(1/2) d<psi|psi>.  Every Gram of the
+    loop also warns that the norm is off 1, which is expected here."""
     drifting = WavefunctionFamily(
         dim=1,
         eval=lambda lamv, n, x: 1.01 ** lamv[0] * anharmonic.psi.eval(lamv, n, x),
@@ -640,3 +679,21 @@ def test_reported_error_bounds_closed_form(name, n):
         if name == "generalized-anharmonic":
             beta = models.analytic_reference(model, "berry_connection", n, lamv)
             assert np.max(np.abs(tensors.berry_connection - beta)) <= tensors.tolerance()
+
+
+def test_coupled_qgt_refines_only_inside_the_windows(coupled):
+    """The product rule refines only where the level-2 envelope has mass:
+    a coupled-2d QGT at (1, 0.1, 1.5, 1.5) evaluates at most 35,000
+    distinct nodes, where the whole level-4 product mesh has 103,041."""
+    seen = []
+
+    def counted(lamv, n, x, y):
+        seen.append(np.stack(np.broadcast_arrays(x, y)).reshape(2, -1))
+        return coupled.psi.eval(lamv, n, x, y)
+
+    family = WavefunctionFamily(dim=2, eval=counted,
+                                analytic_param_grad=coupled.psi.analytic_param_grad)
+    lam = np.array([1.0, 0.1, 1.5, 1.5])
+    geo.GeometryEngine(family, coupled.metric, coupled.domain_for(lam),
+                       in_domain=coupled.in_domain).qgt(lam, (0, 0))
+    assert np.unique(np.concatenate(seen, axis=1), axis=1).shape[1] <= 35_000

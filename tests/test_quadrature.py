@@ -10,7 +10,7 @@ from curvedqgt.core import (
     IntegrandNaNError,
     QuadratureConvergenceError,
 )
-from curvedqgt import quadrature
+from curvedqgt import models, quadrature
 from curvedqgt.quadrature import (
     GramColumns,
     QuadratureConfig,
@@ -67,8 +67,69 @@ def test_2d_zero_integrand():
         lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y))),
         Domain.full_line(), Domain.full_line(), CFG,
     )
-    assert val == 0
-    assert err <= CFG.abs_tol
+    assert (val, err) == (0, 0)
+
+
+def _gauss(x, centre, width):
+    return np.exp(-0.5 * ((x - centre) / width) ** 2)
+
+
+def _gauss_overlap(c1, s1, c2, s2):
+    """Integral over the line of _gauss(x, c1, s1) * _gauss(x, c2, s2)."""
+    v = s1 * s1 + s2 * s2
+    return math.sqrt(2.0 * math.pi * s1 * s1 * s2 * s2 / v) * math.exp(-0.5 * (c1 - c2) ** 2 / v)
+
+
+_WIDTH = st.floats(-0.5, 0.5).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(widths=st.lists(_WIDTH, min_size=4, max_size=4),
+       centres=st.lists(st.floats(-3, 3), min_size=4, max_size=4),
+       amp=st.floats(-8, 0).map(lambda e: 10.0 ** e),
+       squared=st.booleans())
+def test_2d_gaussian_sums_within_reported_error(widths, centres, amp, squared):
+    """Two Gaussians on the full plane, or two even ones on the squared axes
+    of the quartic models: the reported error bounds the error against the
+    closed form, up to roundoff (1e-14 of the value), which it does not
+    count."""
+    if squared:
+        axis, centres = models._squared_axis(), [0.0] * 4
+    else:
+        axis = Domain.full_line()
+    sx1, sy1, sx2, sy2 = widths
+    cx1, cy1, cx2, cy2 = centres
+
+    def f(x, y):
+        return (_gauss(x, cx1, sx1) * _gauss(y, cy1, sy1)
+                + amp * _gauss(x, cx2, sx2) * _gauss(y, cy2, sy2))
+
+    ref = 2.0 * math.pi * (sx1 * sy1 + amp * sx2 * sy2)
+    val, err = integrate_2d_product(f, axis, axis, CFG)
+    assert abs(val - ref) <= err + 1e-14 * ref
+
+
+def test_2d_gram_error_covers_the_dropped_tail():
+    """The third column lives at (3.5, -3.5), far out in the tails of the
+    narrow first two, with a norm below the mass a window may drop; every
+    Gram entry stays within its reported error of the closed form, up to
+    roundoff (1e-14 of sqrt(G_aa G_bb))."""
+    cols = [(1.0, 0.0, 0.3, 0.0, 0.3), (1.0, 0.2, 0.5, -0.1, 0.5),
+            (1e-8, 3.5, 1.0, -3.5, 1.0)]  # amplitude, x centre and width, y centre and width
+
+    def integrand(x, y):
+        return np.stack(np.broadcast_arrays(
+            *(a * _gauss(x, cx, sx) * _gauss(y, cy, sy) for a, cx, sx, cy, sy in cols)
+        )).view(GramColumns)
+
+    ref = np.array([[a1 * a2 * _gauss_overlap(cx1, sx1, cx2, sx2)
+                     * _gauss_overlap(cy1, sy1, cy2, sy2)
+                     for a2, cx2, sx2, cy2, sy2 in cols]
+                    for a1, cx1, sx1, cy1, sy1 in cols])
+    gram, err = integrate_2d_product(integrand, Domain.full_line(), Domain.full_line(), CFG)
+    assert ref[2, 2] < 1e-3 * CFG.abs_tol  # within the mass a window may drop
+    scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+    assert np.all(np.abs(gram - ref) <= err + 1e-14 * scale)
 
 
 def test_finite_interval_gauss_kronrod():
@@ -266,39 +327,104 @@ def test_1d_calls_fuse_levels_0_to_2(freq):
     assert len(seen) == stop - 1
 
 
+def _reference_window(mass, limit):
+    """Level-2 nodes [lo, hi) the product rule refines on one axis: a plain
+    scan drops the end runs whose summed mass stays below ``limit``, then
+    takes back the innermost dropped node of each run."""
+    lo = 0
+    while lo < mass.size and mass[:lo + 1].sum() < limit:
+        lo += 1
+    hi = mass.size
+    while hi > lo and mass[hi - 1:].sum() < limit:
+        hi -= 1
+    return max(lo - 1, 0), min(hi + 1, mass.size)
+
+
+def _mesh_index(mesh, x):
+    """Index of each x on the increasing mesh; every x must be a mesh node."""
+    i = np.clip(np.searchsorted(mesh, x), 1, mesh.size - 1)
+    i -= np.abs(mesh[i - 1] - x) < np.abs(mesh[i] - x)
+    assert np.allclose(mesh[i], x, rtol=1e-15, atol=0)
+    return i
+
+
+def _product_rule_nodes(f):
+    """Run the full-line product rule on a scalar ``f`` as in ``CFG``.
+
+    Returns the evaluated nodes as codes i * n + j of the index pairs (i, j)
+    on the final mesh of n nodes per axis, the codes that the level-2 product
+    mesh plus the product of each axis' window on the final mesh predict,
+    the reference window (lo_x, hi_x, lo_y, hi_y) on the level-2 mesh, n,
+    and the nodes in the largest integrand call.
+    """
+    seen = []
+
+    def g(x, y):
+        seen.append(np.broadcast_arrays(x, y))
+        return f(x, y)
+
+    stop = _stop_level(lambda cfg: integrate_2d_product(
+        g, Domain.full_line(), Domain.full_line(), cfg))
+    seen.clear()
+    integrate_2d_product(g, Domain.full_line(), Domain.full_line(), CFG)
+    mesh = _full_line_rule(stop)[0]
+    got = np.concatenate([_mesh_index(mesh, x.ravel()) * mesh.size
+                          + _mesh_index(mesh, y.ravel()) for x, y in seen])
+
+    x2, w2 = _full_line_rule(2)
+    envelope = np.abs(f(x2[:, None], x2[None, :])) * np.outer(w2, w2)
+    limit = quadrature._TAIL_FRACTION * CFG.abs_tol
+    window = (*_reference_window(envelope.sum(axis=1), limit),
+              *_reference_window(envelope.sum(axis=0), limit))
+    scale = 2 ** (stop - 2)
+    coarse = np.arange(x2.size) * scale
+    fine_x, fine_y = (np.arange(lo * scale, (hi - 1) * scale + 1)
+                      for lo, hi in (window[:2], window[2:]))
+    want = np.union1d((coarse[:, None] * mesh.size + coarse).ravel(),
+                      (fine_x[:, None] * mesh.size + fine_y).ravel())
+    return got, want, window, mesh.size, max(x.size for x, _ in seen)
+
+
 def test_levels_nest_without_repeating_nodes():
-    """The evaluated nodes are the final mesh (1-D) or the product of the
-    final meshes (2-D), each node once, in calls of at most ``_CHUNK``."""
-    seen_1d, seen_2d = [], []
+    """The evaluated nodes are the final mesh (1-D), or the level-2 product
+    mesh plus the product of the final meshes inside each axis' window
+    (2-D), each node once, in calls of at most ``_CHUNK``."""
+    seen_1d = []
 
     def f1(x):
         seen_1d.append(x.copy())
         return np.exp(-x * x) * np.cos(3.0 * x)
 
-    def f2(x, y):
-        seen_2d.append(np.broadcast_arrays(x, y))
-        return np.exp(-x * x - y * y) * np.cos(3.0 * x * y)
-
     stop_1d = _stop_level(lambda cfg: integrate(f1, Domain.full_line(), cfg))
-    stop_2d = _stop_level(lambda cfg: integrate_2d_product(
-        f2, Domain.full_line(), Domain.full_line(), cfg))
     seen_1d.clear()
-    seen_2d.clear()
     integrate(f1, Domain.full_line(), CFG)
-    integrate_2d_product(f2, Domain.full_line(), Domain.full_line(), CFG)
 
     nodes = np.concatenate(seen_1d)
     assert np.unique(nodes).size == nodes.size
     assert _same_nodes(nodes, _full_line_rule(stop_1d)[0])
-    pairs = np.concatenate([np.stack([x.ravel(), y.ravel()], axis=1) for x, y in seen_2d])
-    assert np.unique(pairs, axis=0).shape[0] == pairs.shape[0]
-    mesh = _full_line_rule(stop_2d)[0]
-    assert pairs.shape[0] == mesh.size ** 2
-    assert _same_nodes(np.unique(pairs[:, 0]), mesh)
-    assert _same_nodes(np.unique(pairs[:, 1]), mesh)
+    pairs, want, window, n, largest = _product_rule_nodes(
+        lambda x, y: np.exp(-x * x - y * y) * np.cos(3.0 * x * y))
+    assert np.unique(pairs).size == pairs.size
+    assert np.array_equal(np.sort(pairs), want)
+    level2 = _full_line_rule(2)[0].size
+    assert window[0] > 0 and window[1] < level2  # the window drops both tails
+    assert pairs.size < n ** 2
     chunk = quadrature._CHUNK
     assert max(v.size for v in seen_1d) <= chunk
-    assert max(x.size for x, _ in seen_2d) <= chunk
+    assert largest <= chunk
+
+
+def test_product_rule_keeps_the_full_mesh_without_decay():
+    """(1 + x^2)^-0.6 still carries mass at the t cap, so no window drops a
+    node: the product rule evaluates the whole product of its final meshes.
+    The narrow Gaussian keeps the rule refining past level 2."""
+    pairs, want, window, n, _ = _product_rule_nodes(
+        lambda x, y: ((1.0 + x * x) * (1.0 + y * y)) ** -0.6
+        + np.exp(-50.0 * (x * x + y * y)))
+    level2 = _full_line_rule(2)[0].size
+    assert window == (0, level2, 0, level2)
+    assert np.unique(pairs).size == pairs.size == n ** 2
+    assert np.array_equal(np.sort(pairs), want)
 
 
 @pytest.mark.parametrize("cfg", [CFG, QuadratureConfig(rel_tol=0.2, abs_tol=0.05)],
