@@ -390,8 +390,8 @@ def main():
 @engine_options
 @format_option
 @io_options
-@click.option("--n", "n_str", default="0", show_default=True,
-              help="quantum number (comma-separated for 2-D)")
+@click.option("--n", "n_str", default=None,
+              help="quantum number (comma-separated for 2-D)  [default: ground state]")
 @click.option("--quantities", "quantities_str", default=None,
               help="comma list from qmt,qgt,berry_curvature,berry_connection,"
                    "det,subdet:<param>,fidelity_chi")
@@ -423,7 +423,8 @@ def cmd_compute(model_name, hbar, quad_rel_tol, fd_step, fmt, out,
 @io_options
 @click.option("--grid", "grid_specs", multiple=True,
               help="name=min:max:count[:scale], repeatable")
-@click.option("--n", "n_str", default="0", show_default=True)
+@click.option("--n", "n_str", default=None,
+              help="quantum number (comma-separated for 2-D)  [default: ground state]")
 @click.option("--quantities", "quantities_str", default=None)
 def cmd_sweep(model_name, hbar, quad_rel_tol, fd_step, jobs, fmt, out,
               grid_specs, n_str, quantities_str, **param_flags):

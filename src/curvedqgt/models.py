@@ -130,9 +130,13 @@ class SpectralHint:
     The grid variable is the computational variable of the model's
     quadrature axis (see ``spectrum.make_grid``).  ``u_range(lam, n_max)``
     returns the grid span in it; ``left_boundaries`` the boundary condition
-    passes at the inner edge (two entries request a parity-split solve
-    whose spectra interleave).  ``effective_potential`` overrides the model potential
-    when a similarity transform turns the raw operator into a real one.
+    passes at the inner edge.  Two entries, one "neumann" and one
+    "dirichlet", request a parity-split solve: the Dirichlet matrix is the
+    Neumann one plus a positive rank-one term, so their spectra interlace,
+    E_j(N) <= E_j(D) <= E_{j+1}(N), and k levels take ceil(k/2) from the
+    Neumann pass and floor(k/2) from the Dirichlet one.
+    ``effective_potential`` overrides the model potential when a
+    similarity transform turns the raw operator into a real one.
     """
 
     u_range: Callable

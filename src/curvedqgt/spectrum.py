@@ -11,8 +11,13 @@ tridiagonal one through the diagonal similarity W^(-1/2) H W^(-1/2).
 
 Models whose measure degenerates at an endpoint are solved on the half
 coordinate range; when two boundary passes are declared (zero-derivative
-and zero-value at the inner edge) their spectra interleave to form the
-full level sequence.
+and zero-value at the inner edge) their spectra interlace, so the lowest
+k levels are the lowest ceil(k/2) of the Neumann pass and floor(k/2) of
+the Dirichlet pass.  Each pass on a grid of at least 16 x 256 points is
+seeded from the same pass on a grid 16x coarser and polished by shifted
+inverse iteration; the polish is kept only when its residuals, level
+separations and a Sturm count certify it as the lowest levels, and
+otherwise the pass is solved by bisection.
 """
 
 from __future__ import annotations
@@ -51,7 +56,13 @@ __all__ = [
 ]
 
 _END_OFFSET = 1e-8  # inward nudge for coefficient evaluation at degenerate endpoints
-_LEVELS_PER_PASS = 10  # levels one boundary pass solves for
+_LEVELS_PER_PASS = 10  # most levels one boundary pass solves
+# a pass on a grid holding at least _SEED_RATIO * _MIN_SEED_POINTS points is
+# seeded from the same pass on a grid _SEED_RATIO times coarser
+_SEED_RATIO = 16
+_MIN_SEED_POINTS = 256
+_POLISH_STEPS = 8  # inverse-iteration solves per level before giving up
+_POLISH_RESIDUAL = 64  # accepted polish residual, in units of eps ||T||
 # grid-family solves kept per family: every stencil point of a 4th-order
 # derivative (4 per parameter) for up to 8 parameters
 _SOLVE_CACHE_SIZE = 32
@@ -84,6 +95,11 @@ class Grid1D:
 
     def with_boundary(self, left: str, right: str = "dirichlet") -> "Grid1D":
         return dataclasses.replace(self, boundary=(left, right))
+
+    def resampled(self, n: int) -> "Grid1D":
+        """The same span and boundaries on n cells."""
+        points, h = _cell_centers(self.u_lo, self.u_hi, n)
+        return dataclasses.replace(self, points=points, spacing=h)
 
 
 @dataclass(frozen=True)
@@ -123,13 +139,17 @@ def make_grid(model: ModelSpec, lam, n_points: int = 2000,
     else:
         x_of, dxdu, u_of = tr.inv, tr.inv_jac, tr.fwd
     u_lo, u_hi = model.spectral.u_range(lamv, n_max)
-    h = (u_hi - u_lo) / n_points
-    points = u_lo + (np.arange(n_points) + 0.5) * h
+    points, h = _cell_centers(u_lo, u_hi, n_points)
     return Grid1D(
         points=points, spacing=h,
         boundary=(model.spectral.left_boundaries[0], "dirichlet"), lam=lamv,
         x_of=x_of, dxdu=dxdu, u_of=u_of, u_lo=u_lo, u_hi=u_hi,
     )
+
+
+def _cell_centers(u_lo: float, u_hi: float, n: int):
+    h = (u_hi - u_lo) / n
+    return u_lo + (np.arange(n) + 0.5) * h, h
 
 
 def build_hamiltonian(model: ModelSpec, grid: Grid1D,
@@ -186,6 +206,26 @@ def build_hamiltonian(model: ModelSpec, grid: Grid1D,
     return DiscreteHamiltonian(h_matrix=h_matrix, weights=w * h, grid=grid)
 
 
+def _standard_form(dh: DiscreteHamiltonian):
+    """Diagonal, off-diagonal and W^(-1/2) of T = W^(-1/2) H W^(-1/2)."""
+    winv = 1.0 / np.sqrt(dh.weights)
+    main = dh.h_matrix.diagonal() * winv * winv
+    off = dh.h_matrix.diagonal(1) * winv[:-1] * winv[1:]
+    return main, off, winv
+
+
+def _pairs(dh: DiscreteHamiltonian, vals, vecs, winv):
+    """(E, phi, residual) per column of T's eigenvectors, phi W-orthonormal."""
+    out = []
+    for j, e in enumerate(vals):
+        phi = vecs[:, j] * winv
+        h_phi = dh.h_matrix @ phi
+        w_phi = dh.weights * phi
+        residual = float(np.linalg.norm(h_phi - e * w_phi) / np.linalg.norm(w_phi))
+        out.append((float(e), phi, residual))
+    return out
+
+
 def eigensolve(dh: DiscreteHamiltonian, k: int):
     """k lowest eigenpairs of H phi = E W phi, W-orthonormal, with residuals."""
     import scipy.linalg
@@ -195,33 +235,105 @@ def eigensolve(dh: DiscreteHamiltonian, k: int):
                          f"one per grid point; asked for {k} on {dh.grid.n} points")
     if k <= 0:
         return []
-    winv = 1.0 / np.sqrt(dh.weights)
-    main = dh.h_matrix.diagonal() * winv * winv
-    off = dh.h_matrix.diagonal(1) * winv[:-1] * winv[1:]
+    main, off, winv = _standard_form(dh)
     try:
         vals, vecs = scipy.linalg.eigh_tridiagonal(
             main, off, select="i", select_range=(0, k - 1)
         )
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise EigensolveError(f"tridiagonal eigensolve failed: {exc}") from exc
-    out = []
-    for j in range(k):
-        phi = vecs[:, j] * winv
-        h_phi = dh.h_matrix @ phi
-        w_phi = dh.weights * phi
-        residual = float(
-            np.linalg.norm(h_phi - vals[j] * w_phi) / np.linalg.norm(w_phi)
-        )
-        out.append((float(vals[j]), phi, residual))
-    return out
+    return _pairs(dh, vals, vecs, winv)
+
+
+def _polish(dh: DiscreteHamiltonian, seed_points: np.ndarray, seed):
+    """The len(seed) lowest eigenpairs of dh, polished from a coarse solve.
+
+    ``seed`` holds (E, phi, residual) of the same pass on ``seed_points``.
+    Each level's phi is interpolated onto dh's grid and refined by inverse
+    iteration with one LU factor of T - E I, until the residual stops
+    halving; its Rayleigh quotient is the energy.  The result is kept
+    only when it certifies itself:
+    - every residual r_j is at roundoff (``_POLISH_RESIDUAL`` eps ||T||),
+      and [E_j - r_j, E_j + r_j] holds an eigenvalue of T;
+    - those intervals are disjoint and in the seed's order, so they hold
+      distinct eigenvalues;
+    - a Sturm count finds exactly len(seed) eigenvalues up to
+      E_top + r_top, so they are the lowest.
+    Otherwise bisection (``eigensolve``) solves the pass.
+    """
+    from scipy.linalg import lapack
+
+    k = len(seed)
+    main, off, winv = _standard_form(dh)
+    radius = np.zeros_like(main)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    t_norm = float(np.max(np.abs(main) + radius))
+    tol = _POLISH_RESIDUAL * np.finfo(float).eps * t_norm
+    vecs = np.empty((dh.grid.n, k))
+    vals = np.empty(k)
+    res = np.full(k, np.inf)
+    for j, (e_seed, phi_seed, _) in enumerate(seed):
+        x = np.interp(dh.grid.points, seed_points, phi_seed) / winv
+        lu = lapack.dgttrf(off, main - e_seed, off)
+        if lu[-1] != 0:
+            return eigensolve(dh, k)
+        for _ in range(_POLISH_STEPS):
+            x = lapack.dgttrs(*lu[:-1], x)[0]
+            x /= np.linalg.norm(x)
+            tx = main * x
+            tx[:-1] += off * x[1:]
+            tx[1:] += off * x[:-1]
+            rho = float(x @ tx)
+            tx -= rho * x
+            r = float(np.linalg.norm(tx))
+            if r >= 0.5 * res[j]:
+                break
+            vecs[:, j], vals[j], res[j] = x, rho, r
+    if np.all(res <= tol) and np.all(np.diff(vals) > res[:-1] + res[1:]):
+        lo = float(np.min(main - radius)) - 1.0
+        hi = vals[-1] + res[-1]
+        # a tolerance as wide as the range stops dstebz after its Sturm counts
+        count, *_, info = lapack.dstebz(main, off, 1, lo, hi, 0, 0, hi - lo, "E")
+        if info == 0 and count == k:
+            return _pairs(dh, vals, vecs, winv)
+    return eigensolve(dh, k)
+
+
+def _solve_pass(model: ModelSpec, grid: Grid1D, lamv: np.ndarray, k: int):
+    """k lowest eigenpairs of one boundary pass on ``grid``."""
+    n_seed = grid.n // _SEED_RATIO
+    if n_seed < _MIN_SEED_POINTS:
+        return eigensolve(build_hamiltonian(model, grid, lamv), k)
+    coarse = grid.resampled(n_seed)
+    seed = _solve_pass(model, coarse, lamv, k)
+    return _polish(build_hamiltonian(model, grid, lamv), coarse.points, seed)
+
+
+def _pass_levels(boundaries: tuple, k: int) -> tuple:
+    """How many of the lowest k merged levels each boundary pass holds.
+
+    The Dirichlet pass adds a positive rank-one term at the inner edge to
+    the Neumann pass's matrix, so their spectra interlace,
+    E_j(N) <= E_j(D) <= E_{j+1}(N), and the lowest k levels are the lowest
+    ceil(k/2) Neumann and floor(k/2) Dirichlet levels.
+    """
+    if len(boundaries) == 1:
+        return (k,)
+    if sorted(boundaries) != ["dirichlet", "neumann"]:
+        raise EngineError(f"two boundary passes must be one Neumann and one "
+                          f"Dirichlet, got {boundaries}")
+    return tuple((k + 1) // 2 if b == "neumann" else k // 2 for b in boundaries)
 
 
 def model_spectrum(model: ModelSpec, lam, k: int, n_points: int = 2000):
     """Lowest k levels, merging boundary-condition passes when declared.
 
-    Returns a list of (energy, residual) sorted by energy.  Each pass
-    solves at most 10 levels, so a model with one pass gives at most 10
-    and one with two passes at most 20; asking for more raises ValueError.
+    Returns a list of (energy, residual) sorted by energy.  A model with
+    one pass gives at most 10 levels and one with two passes at most 20,
+    which the two passes share by interlacing, so each pass solves at
+    most 10 levels; asking for more, or for more levels than grid
+    points, raises ValueError.
     """
     levels = solve_levels(model, lam, k, n_points)
     return [(e, r) for e, _, r, _ in levels]
@@ -229,7 +341,14 @@ def model_spectrum(model: ModelSpec, lam, k: int, n_points: int = 2000):
 
 def solve_levels(model: ModelSpec, lam, k: int, n_points: int = 2000,
                  grid: Optional[Grid1D] = None):
-    """Merged eigenpairs (energy, phi, residual, pass_index) across passes."""
+    """Merged eigenpairs (energy, phi, residual, pass_index) across passes.
+
+    Each pass solves only the levels that interlacing lets reach the
+    lowest k (see ``_pass_levels``).  A pass on a grid of at least
+    16 x 256 points is polished from the same pass solved on a grid 16x
+    coarser over the same span (recursively), and falls back to bisection
+    when the polish does not certify itself (see ``_polish``).
+    """
     if model.spectral is None:
         raise EngineError(f"model {model.name} declares no spectral coordinate")
     cap = _LEVELS_PER_PASS * len(model.spectral.left_boundaries)
@@ -239,14 +358,17 @@ def solve_levels(model: ModelSpec, lam, k: int, n_points: int = 2000,
         return []
     lamv = param_values(lam)
     base = grid or make_grid(model, lamv, n_points, n_max=2 * k + 3)
+    if k > base.n:
+        raise ValueError(f"a grid of {base.n} points holds at most {base.n} levels; "
+                         f"asked for {k}")
+    boundaries = model.spectral.left_boundaries
     merged = []
-    for idx, left in enumerate(model.spectral.left_boundaries):
-        g = base.with_boundary(left)
-        dh = build_hamiltonian(model, g, lamv)
-        for e, phi, res in eigensolve(dh, min(_LEVELS_PER_PASS, k)):
-            merged.append((e, phi, res, idx))
+    for idx, (left, count) in enumerate(zip(boundaries, _pass_levels(boundaries, k))):
+        if count:
+            for e, phi, res in _solve_pass(model, base.with_boundary(left), lamv, count):
+                merged.append((e, phi, res, idx))
     merged.sort(key=lambda t: t[0])
-    return merged[:k]
+    return merged
 
 
 def numerical_wavefunction_family(model: ModelSpec, lam, n_levels: int,

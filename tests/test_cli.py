@@ -68,6 +68,20 @@ def test_compute_missing_parameter_exits_2(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args,ground", [
+    (["compute", "--model", "coupled-anharmonic-2d", "--k1", "1", "--k2", "0.1",
+      "--a", "1.5", "--b", "1.5", "--quantities", "qmt"], "0,0"),
+    (["compute", "--model", "anharmonic-1d", "--lambda", "1", "--omega", "1"], "0"),
+    (["sweep", "--model", "anharmonic-1d", "--omega", "1",
+      "--grid", "lambda=0.9:1.1:2", "--quantities", "qmt"], "0"),
+])
+def test_unset_n_is_the_ground_state(runner, args, ground):
+    """Without --n, compute and sweep take the ground state of any dimension."""
+    unset = _invoke(runner, args)
+    assert unset.exit_code == 0
+    assert unset.stdout_bytes == _invoke(runner, args + ["--n", ground]).stdout_bytes
+
+
 def test_compute_csv_round_trip(runner):
     result = _invoke(runner, [
         "compute", "--model", "anharmonic-1d", "--lambda", "1.25",

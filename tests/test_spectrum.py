@@ -103,6 +103,94 @@ def test_spectrum_raises_beyond_level_cap(name, lam, cap):
         sp.model_spectrum(model, np.array(lam), -1)
 
 
+_SPECTRAL_POINTS = [
+    ("flat-oscillator-1d", [1.0]), ("morse-like", [1.0, 1.0]),
+    ("anharmonic-1d", [1.0, 1.0]), ("generalized-anharmonic", [1.0, 0.3, 1.2]),
+]
+
+
+@pytest.mark.parametrize("name,lam", _SPECTRAL_POINTS[2:])
+def test_split_passes_match_full_merge(name, lam):
+    """Interlacing: k levels take ceil(k/2) Neumann and floor(k/2) Dirichlet
+    levels, the same as merging both passes solved to 10 levels each."""
+    model = models.get_model(name, verify=False)
+    lamv = np.array(lam)
+    for k in range(1, 21):
+        grid = sp.make_grid(model, lamv, 400, n_max=2 * k + 3)
+        full = sorted(
+            (e, idx)
+            for idx, left in enumerate(model.spectral.left_boundaries)
+            for e, _, _ in sp.eigensolve(
+                sp.build_hamiltonian(model, grid.with_boundary(left)), 10)
+        )[:k]
+        split = sp.solve_levels(model, lamv, k, grid=grid)
+        assert [idx for _, idx in full] == [idx for *_, idx in split]
+        np.testing.assert_allclose([e for e, *_ in split], [e for e, _ in full],
+                                   rtol=1e-10)
+
+
+@pytest.mark.parametrize("name,lam", _SPECTRAL_POINTS)
+def test_seeded_polish_matches_bisection(name, lam, monkeypatch):
+    """At 40,000 points each pass is polished from a 2,500-point solve; its
+    levels match bisection on the same matrix, with no larger residuals."""
+    model = models.get_model(name, verify=False)
+    lamv = np.array(lam)
+    grid = sp.make_grid(model, lamv, 40000, n_max=23)
+    boundaries = model.spectral.left_boundaries
+    passes = [(grid.with_boundary(left), count)
+              for left, count in zip(boundaries, sp._pass_levels(boundaries, 10))]
+    want = [sp.eigensolve(sp.build_hamiltonian(model, g), count) for g, count in passes]
+    solved_on = []
+    bisect = sp.eigensolve
+    monkeypatch.setattr(sp, "eigensolve",
+                        lambda dh, k: solved_on.append(dh.grid.n) or bisect(dh, k))
+    got = [sp._solve_pass(model, g, lamv, count) for g, count in passes]
+    assert solved_on == [2500] * len(passes)
+    for got_pass, want_pass in zip(got, want):
+        np.testing.assert_allclose([e for e, _, _ in got_pass],
+                                   [e for e, _, _ in want_pass], rtol=1e-8)
+        assert max(r for *_, r in got_pass) <= max(r for *_, r in want_pass)
+
+
+def test_polish_falls_back_when_sturm_count_disagrees(flat, monkeypatch):
+    """Seeds that skip a level, or sit between two levels, polish to real
+    eigenpairs that are not the lowest; the Sturm count rejects them and
+    bisection solves the pass."""
+    from scipy.linalg import lapack
+
+    lam = np.array([1.0])
+    grid = sp.make_grid(flat, lam, 4096)
+    coarse = grid.resampled(256)
+    seed = sp.eigensolve(sp.build_hamiltonian(flat, coarse), 3)
+    dh = sp.build_hamiltonian(flat, grid)
+    counts = []
+    real_dstebz = lapack.dstebz
+
+    def counted(*args):
+        out = real_dstebz(*args)
+        if args[2] == 1:  # range "V": a Sturm count over an interval
+            counts.append(out[0])
+        return out
+
+    monkeypatch.setattr(lapack, "dstebz", counted)
+    (e0, _, _), (e1, phi1, r1), _ = seed
+    skipping = [seed[0], seed[2]]
+    between = [(0.4 * e0 + 0.6 * e1, phi1, r1)]
+    for bad in (skipping, between):
+        counts.clear()
+        got = sp._polish(dh, coarse.points, bad)
+        assert counts == [len(bad) + 1]
+        want = sp.eigensolve(dh, len(bad))
+        for (e, phi, r), (e_ref, phi_ref, r_ref) in zip(got, want):
+            assert e == e_ref and r == r_ref
+            assert np.array_equal(phi, phi_ref)
+    counts.clear()
+    polished = sp._polish(dh, coarse.points, seed[:2])
+    assert counts == [2]
+    np.testing.assert_allclose([e for e, _, _ in polished],
+                               [e for e, _, _ in sp.eigensolve(dh, 2)], rtol=1e-8)
+
+
 def test_non_positive_metric_rejected(flat):
     broken = dataclasses.replace(
         flat,
