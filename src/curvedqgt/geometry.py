@@ -25,7 +25,10 @@ geometric tensor comes from one assembly formula; the projector form
 of its own columns v_r = d_r psi - sigma_r psi / 4.  A Berry loop needs
 only the connection along each segment delta, so it integrates the
 three-column Gram of [psi, d_delta psi, sigma_delta psi], with
-d_delta = sum_r delta_r d_r taken over the nonzero delta_r only.
+d_delta = sum_r delta_r d_r taken over the nonzero delta_r only.  A
+bracket also takes a stack of points and integrates all their Grams in
+one pass over shared nodes; a loop hands it the points of one
+Gauss-Kronrod panel at a time.
 Conventions:
 
     qmt              = Re(qgt)                  (symmetric)
@@ -67,7 +70,8 @@ __all__ = [
     "connection_transform_report",
 ]
 
-# Gram matrices an engine keeps; a Berry loop visits each point only once
+# Gram matrices (or Gram stacks) an engine keeps; a Berry loop caches one
+# stack per Gauss-Kronrod panel and visits each panel only once
 BRACKET_CACHE_SIZE = 64
 # largest |qgt - qgt^H| the assembly accepts from consistent brackets
 HERMITICITY_GATE = 1e-7
@@ -78,6 +82,9 @@ CONNECTION_RESIDUE_WARN = 1e-6
 NORM_WARN = 1e-6
 # loosest relative tolerance of a Berry-loop segment integration
 SEGMENT_TOL = 1e-7
+# connection points per bracket call of a Berry loop: one 7/15
+# Gauss-Kronrod panel, so a subdivision step never stacks more
+SEGMENT_POINTS = 15
 # central differences of a gauge phase given without alpha_grad, and of ln|det J|
 _ALPHA_FD = FdConfig(base_step=1e-6, scheme="central-2")
 _JACOBIAN_FD = FdConfig(base_step=1e-5, scheme="central-2")
@@ -150,38 +157,53 @@ class GeometryEngine:
         return psi, dpsi, sigma
 
     def _key(self, name, lamv, n):
-        return (name, lamv.tobytes(), tuple(n),
+        return (name, lamv.shape, lamv.tobytes(), tuple(n),
                 self.cfg.quad.rel_tol, self.cfg.quad.abs_tol,
                 self.cfg.fd.base_step, self.cfg.fd.scheme)
 
     def bracket(self, name, lamv, n, columns):
-        """Gram matrix of column functions at one point: (value, error).
+        """Gram matrices of column functions at one point ``(m,)`` or at a
+        stack of points ``(P, m)``: (value, error).
 
-        ``columns(*axes)`` returns k column values at the quadrature nodes,
-        the state psi first.  Entry [a, b] of the value is
-        <U_a|U_b> = integral sqrt(g) conj(U_a) U_b, and the error matrix
-        holds each entry's error estimate.  Both are read-only and cached
-        under (name, point, n, tolerances).  Computing one warns with
-        :class:`NormalizationWarning` when <psi|psi> is off 1 by more than
-        ``NORM_WARN``: the connection and the tensors assume a normalized
-        family, and a constant factor leaves no other trace in them.
+        ``columns(p, *axes)`` returns the k column values of the point p at
+        the quadrature nodes, the state psi first.  Entry [a, b] of a
+        point's value is <U_a|U_b> = integral sqrt(g) conj(U_a) U_b, and the
+        error matrix holds each entry's error estimate; both are ``(k, k)``
+        for one point and ``(P, k, k)`` for a stack.  A stack takes one
+        integration: each integrand call samples the columns of every point
+        in turn and contracts them in one batched product, and the rule
+        stops once every entry of every point is within tolerance.  Value
+        and error are read-only and cached under (name, points, n,
+        tolerances).  Computing them warns with
+        :class:`NormalizationWarning`, naming the point, for each point
+        whose <psi|psi> is off 1 by more than ``NORM_WARN``: the connection
+        and the tensors assume a normalized family, and a constant factor
+        leaves no other trace in them.
         """
         metric = self.metric
+        points = lamv.reshape(-1, lamv.shape[-1])
+
+        def weighted(p, axes):
+            cols = np.stack(np.broadcast_arrays(*columns(p, *axes)))
+            return cols * np.sqrt(metric.sqrt_det(p, *axes))
 
         def integrand(*axes):
-            cols = np.stack(np.broadcast_arrays(*columns(*axes)))
-            return (cols * np.sqrt(metric.sqrt_det(lamv, *axes))).view(GramColumns)
+            stack = [weighted(p, axes) for p in points]
+            cols = stack[0][None] if len(stack) == 1 else np.stack(np.broadcast_arrays(*stack))
+            return cols.view(GramColumns)
 
         def compute():
             gram, err = _integrate(integrand, self.domain, self.cfg.quad)
-            norm = gram[0, 0].real
-            if abs(norm - 1.0) > NORM_WARN:
-                warnings.warn(
-                    f"<psi|psi> = {norm:.12g} at {lamv}; the family is not "
-                    "normalized there",
-                    NormalizationWarning,
-                    stacklevel=4,
-                )
+            for p, norm in zip(points, gram[:, 0, 0].real):
+                if abs(norm - 1.0) > NORM_WARN:
+                    warnings.warn(
+                        f"<psi|psi> = {norm:.12g} at {p}; the family is not "
+                        "normalized there",
+                        NormalizationWarning,
+                        stacklevel=4,
+                    )
+            if lamv.ndim == 1:
+                gram, err = gram[0], err[0]
             gram.flags.writeable = False
             err.flags.writeable = False
             return gram, err
@@ -202,8 +224,8 @@ class GeometryEngine:
         n = as_quantum_number(n)
         m = lamv.size
 
-        def columns(*axes):
-            psi, dpsi, sigma = self._sample(lamv, n, axes, range(m))
+        def columns(p, *axes):
+            psi, dpsi, sigma = self._sample(p, n, axes, range(m))
             return [psi, *dpsi, *(s * psi for s in sigma)]
 
         gram, err = self.bracket("family", lamv, n, columns)
@@ -239,27 +261,31 @@ class GeometryEngine:
         br = self.bracket_set(lam, n)
         return self._real_connection(br["c"], br["s"])
 
-    def berry_connection_along(self, lam, n, delta) -> float:
-        """beta . delta at one point, from the cached Gram of the three
-        columns [psi, d_delta psi, sigma_delta psi].
+    def berry_connection_along(self, lam, n, delta):
+        """beta . delta at one point ``(m,)``, a float, or at each point of a
+        stack ``(P, m)``, an array ``(P,)``; from the cached Gram of the
+        three columns [psi, d_delta psi, sigma_delta psi].
 
         Equals ``berry_connection(lam, n) @ delta`` but samples only the
-        parameter derivatives with delta_r != 0.
+        parameter derivatives with delta_r != 0.  A stack is one bracket
+        call, so its points share one integration.  The imaginary-residue
+        warning covers every point.
         """
-        lamv = param_values(lam)
+        lamv = param_values(lam) if np.ndim(lam) < 2 else np.asarray(lam, dtype=float)
         n = as_quantum_number(n)
         delta = np.asarray(delta, dtype=float)
         rs = np.flatnonzero(delta)
 
-        def columns(*axes):
+        def columns(p, *axes):
             # d_delta = sum_r delta_r d_r, over the nonzero delta_r only
-            psi, dpsi, sigma = self._sample(lamv, n, axes, rs)
+            psi, dpsi, sigma = self._sample(p, n, axes, rs)
             d = sum(delta[r] * v for r, v in zip(rs, dpsi))
             s = sum(delta[r] * v for r, v in zip(rs, sigma))
             return [psi, d, s * psi]
 
         gram, _ = self.bracket(("along", delta.tobytes()), lamv, n, columns)
-        return float(self._real_connection(gram[0, 1], gram[0, 2].real))
+        beta = self._real_connection(gram[..., 0, 1], gram[..., 0, 2].real)
+        return float(beta) if lamv.ndim == 1 else beta
 
     def gamma(self, lam, n):
         br = self.bracket_set(lam, n)
@@ -311,8 +337,8 @@ class GeometryEngine:
         lamv = param_values(lam)
         n = as_quantum_number(n)
 
-        def columns(*axes):
-            psi, dpsi, sigma = self._sample(lamv, n, axes, range(lamv.size))
+        def columns(p, *axes):
+            psi, dpsi, sigma = self._sample(p, n, axes, range(lamv.size))
             return [psi, *(d - 0.25 * s * psi for d, s in zip(dpsi, sigma))]
 
         gram, _ = self.bracket("projector", lamv, n, columns)
@@ -430,11 +456,15 @@ def berry_phase_loop(psi, metric, domain, loop, n, cfg=None, in_domain=None) -> 
 
     The loop is a sequence of parameter points; it is closed automatically
     when the last vertex differs from the first.  Each segment delta is
-    integrated adaptively, and at every node beta . delta comes from the
-    directional Gram of [psi, d_delta psi, sigma_delta psi]
+    integrated by adaptive Gauss-Kronrod bisection, and at every node
+    beta . delta comes from the directional Gram of
+    [psi, d_delta psi, sigma_delta psi]
     (:meth:`GeometryEngine.berry_connection_along`), so an edge along one
-    parameter samples one derivative instead of all of them.  The
-    connection's imaginary-residue warning still applies at every node.
+    parameter samples one derivative instead of all of them.  The nodes of
+    each rule call go to the engine in stacks of at most ``SEGMENT_POINTS``,
+    one panel, and each stack is one bracket call: one integration over
+    the family's domain, whatever the number of points.  The connection's
+    imaginary-residue warning still applies at every node.
     """
     cfg = cfg or EngineConfig()
     pts = [param_values(p) for p in loop]
@@ -455,8 +485,10 @@ def berry_phase_loop(psi, metric, domain, loop, n, cfg=None, in_domain=None) -> 
 
         def integrand(ts):
             ts = np.atleast_1d(ts)
-            return np.array([engine.berry_connection_along(start + t * delta, n, delta)
-                             for t in ts])
+            return np.concatenate([
+                engine.berry_connection_along(start + ts[i:i + SEGMENT_POINTS, None] * delta,
+                                              n, delta)
+                for i in range(0, ts.size, SEGMENT_POINTS)])
 
         val, _ = integrate(integrand, Domain.interval(0.0, 1.0), seg_cfg)
         total += val.real

@@ -22,7 +22,9 @@ the value and the error estimate come back per entry.  An integrand that
 returns its stacked columns ``U`` (shape ``(k, *nodes)``) viewed as
 :class:`GramColumns` gets the k-by-k Gram matrix
 ``G[a, b] = integral conj(U_a) U_b``, contracted as one matrix product per
-chunk of nodes rather than k*k per-node products.  Nodes are evaluated in
+chunk of nodes rather than k*k per-node products; a stack of P such
+column sets, shape ``(P, k, *nodes)``, gets P Grams ``(P, k, k)`` from one
+batched product per chunk.  Nodes are evaluated in
 chunks of at most ``_CHUNK``, so memory stays flat at fine levels.  Axis
 transforms and even-symmetry folding declared on the
 :class:`~curvedqgt.core.Domain` are applied here, so callers always write
@@ -80,7 +82,9 @@ class GramColumns(np.ndarray):
 
     Build it as ``np.stack(columns).view(GramColumns)``, shape
     ``(k, *nodes)``; the integral is then the k-by-k matrix
-    ``sum_i w_i conj(U[:, i]) U[:, i]^T`` over the quadrature nodes i.
+    ``sum_i w_i conj(U[:, i]) U[:, i]^T`` over the quadrature nodes i.  A
+    stack ``(P, k, *nodes)`` integrates to one such matrix per leading
+    index, ``(P, k, k)``.
     """
 
 
@@ -217,7 +221,8 @@ def _block_sum(f, x, wx, y=None, wy=None, gx=None, gy=None, marginals=False):
         gram = isinstance(out, GramColumns)
         for j in range(groups):
             v, wj = (vals, w) if groups == 1 else (vals[..., g == j], w[g == j])
-            totals[j] = totals[j] + ((v.conj() * wj) @ v.T if gram else v @ wj)
+            totals[j] = totals[j] + ((v.conj() * wj) @ v.swapaxes(-1, -2) if gram
+                                     else v @ wj)
         if marginals:
             v = vals.reshape(-1, vals.shape[-1])
             # einsum over the real and imaginary views makes no
@@ -328,7 +333,8 @@ def _gk_panels(f, a: np.ndarray, b: np.ndarray):
     """Evaluate the 7/15 pair on a batch of panels: (values, errors).
 
     Both come back as (entries..., panels).  Gram columns are expanded to
-    per-node products here; finite axes are short, so the cost is small.
+    per-node products here, within each column set of a stack; finite axes
+    are short, so the cost is small.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -336,7 +342,7 @@ def _gk_panels(f, a: np.ndarray, b: np.ndarray):
     out = f(x)
     vals = _node_values(out, x)
     if isinstance(out, GramColumns):
-        vals = vals.conj()[:, None] * vals[None, :]
+        vals = vals.conj()[..., :, None, :] * vals[..., None, :, :]
     vals = vals.reshape(vals.shape[:-1] + (a.size, _XGK.size))
     k15 = (vals @ _WGK) * half
     g7 = (vals[..., _GAUSS_IDX] @ _WG) * half

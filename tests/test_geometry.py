@@ -552,6 +552,130 @@ def test_loop_phase_is_gauge_invariant(generalized):
     assert abs(phases[1] - phases[0]) < 1e-10
 
 
+def _boosted_gaussian():
+    """psi = pi^(-1/4) exp(-(x - a)^2 / 2 + i b x), lambda = (a, b), on a flat
+    line cut to [-12, 12]: a finite interval, so every Gram is a
+    Gauss-Kronrod integral.  beta = (0, a) and F_ab = 1, so a loop's phase
+    is the (a, b) area it encloses."""
+    metric = MetricFamily(
+        dim=1,
+        eval=lambda lamv, x: np.ones(np.shape(x))[..., None, None],
+        det=lambda lamv, x: np.ones(np.shape(x)),
+        analytic_log_det_grad=lambda lamv, rho, x: np.zeros(np.shape(x)),
+    )
+
+    def psi(lamv, n, x):
+        a, b = lamv
+        return np.pi ** -0.25 * np.exp(-0.5 * (x - a) ** 2 + 1j * b * x)
+
+    def grad(lamv, n, rho, x):
+        return ((x - lamv[0]) if rho == 0 else 1j * x) * psi(lamv, n, x)
+
+    return WavefunctionFamily(dim=1, eval=psi, analytic_param_grad=grad), metric
+
+
+def test_connection_stack_on_a_finite_interval_matches_points():
+    """A stack of points on a Gauss-Kronrod domain gives each point the
+    connection it gets alone, and the loop closes on the enclosed area."""
+    fam, metric = _boosted_gaussian()
+    domain = Domain.interval(-12.0, 12.0)
+    eng = geo.GeometryEngine(fam, metric, domain)
+    delta = np.array([0.3, -0.5])
+    pts = np.array([[0.1, 0.2], [0.5, -0.3], [0.9, 0.7]])
+    stacked = eng.berry_connection_along(pts, (0,), delta)
+    assert stacked.shape == (3,)
+    for p, beta in zip(pts, stacked):
+        single = eng.berry_connection_along(p, (0,), delta)
+        assert isinstance(single, float)
+        assert abs(beta - single) < 1e-12
+        assert abs(single - delta[1] * p[0]) < 1e-10
+    loop = [np.array([0.1, 0.2]), np.array([0.6, 0.2]),
+            np.array([0.6, 0.9]), np.array([0.1, 0.9])]
+    phase = geo.berry_phase_loop(fam, metric, domain, loop, (0,))
+    assert abs(phase - 0.5 * 0.7) < 1e-8
+
+
+def _counting_loop(psi, generalized, monkeypatch, loop):
+    """Run a loop while counting family evaluations, the points of each
+    bracket call, and the integrand calls of the family-domain integrations."""
+    import dataclasses
+
+    calls = {"psi": 0, "integrand": 0, "de": 0, "points": []}
+
+    def counted_eval(*args):
+        calls["psi"] += 1
+        return psi.eval(*args)
+
+    real_integrate, real_bracket = geo.integrate, geo.GeometryEngine.bracket
+    domain = generalized.domain_for(loop[0])
+
+    def counting_integrate(f, dom, cfg=None):
+        if dom is not domain:  # the segment rule on [0, 1]
+            return real_integrate(f, dom, cfg)
+        calls["de"] += 1
+
+        def counted(*axes):
+            calls["integrand"] += 1
+            return f(*axes)
+
+        return real_integrate(counted, dom, cfg)
+
+    def counting_bracket(self, name, lamv, n, columns):
+        calls["points"].append(len(np.atleast_2d(lamv)))
+        return real_bracket(self, name, lamv, n, columns)
+
+    monkeypatch.setattr(geo, "integrate", counting_integrate)
+    monkeypatch.setattr(geo.GeometryEngine, "bracket", counting_bracket)
+    phase = geo.berry_phase_loop(dataclasses.replace(psi, eval=counted_eval),
+                                 generalized.metric, domain, loop, (0,),
+                                 in_domain=generalized.in_domain)
+    monkeypatch.undo()
+    return phase, calls
+
+
+_BC_RECTANGLE = [np.array([1.0, -0.3, 0.9]), np.array([1.0, 0.3, 0.9]),
+                 np.array([1.0, 0.3, 1.4]), np.array([1.0, -0.3, 1.4])]
+
+
+def test_loop_integrates_each_panel_in_one_pass(generalized, monkeypatch):
+    """A rectangle whose edges converge on their first Gauss-Kronrod panel
+    takes one family-domain integration per edge, for all 15 points of the
+    panel: psi is sampled once per point per integrand call."""
+    _, calls = _counting_loop(generalized.psi, generalized, monkeypatch, _BC_RECTANGLE)
+    assert calls["points"] == [geo.SEGMENT_POINTS] * 4
+    assert calls["de"] == 4
+    assert calls["psi"] == geo.SEGMENT_POINTS * calls["integrand"]
+
+
+def test_loop_warns_for_each_mis_normalized_point(generalized):
+    """A stack warns once per point whose <psi|psi> is off 1, naming it."""
+    scaled = WavefunctionFamily(
+        dim=1, eval=lambda lamv, n, x: 1.01 * generalized.psi.eval(lamv, n, x),
+        analytic_param_grad=lambda lamv, n, rho, x: 1.01 * generalized.psi.analytic_param_grad(
+            lamv, n, rho, x))
+    with pytest.warns(NormalizationWarning) as record:
+        geo.berry_phase_loop(scaled, generalized.metric,
+                             generalized.domain_for(_BC_RECTANGLE[0]), _BC_RECTANGLE,
+                             (0,), in_domain=generalized.in_domain)
+    named = {str(w.message).split(" at ")[1] for w in record
+             if issubclass(w.category, NormalizationWarning)}
+    assert len(named) == 4 * geo.SEGMENT_POINTS
+
+
+def test_subdivided_loop_stacks_at_most_one_panel(generalized, monkeypatch):
+    """A gauge phase that oscillates along b forces Gauss-Kronrod
+    subdivision: many panels are evaluated, no bracket call stacks more than
+    one panel's points, and the closed loop cancels the gauge term."""
+    gauged = geo.gauge_transform(generalized.psi, lambda lv: 0.3 * np.sin(40.0 * lv[1]))
+    phase, calls = _counting_loop(gauged, generalized, monkeypatch, _BC_RECTANGLE)
+    assert sum(calls["points"]) > 4 * geo.SEGMENT_POINTS
+    assert max(calls["points"]) <= geo.SEGMENT_POINTS
+    plain = geo.berry_phase_loop(generalized.psi, generalized.metric,
+                                 generalized.domain_for(_BC_RECTANGLE[0]), _BC_RECTANGLE,
+                                 (0,), in_domain=generalized.in_domain)
+    assert abs(phase - plain) < 1e-8
+
+
 @pytest.mark.filterwarnings("ignore::curvedqgt.core.NormalizationWarning")
 def test_loop_warns_on_imaginary_residue(anharmonic):
     """A norm that drifts with lambda (psi scaled by 1.01 per unit) leaves an

@@ -264,6 +264,25 @@ def test_gram_columns_match_entrywise_integrals(domain):
     assert abs(gram[0, 0] - math.sqrt(math.pi)) < 1e-12
 
 
+@pytest.mark.parametrize("domain", [Domain.full_line(), Domain.interval(-6.0, 6.0)],
+                         ids=["double-exponential", "gauss-kronrod"])
+def test_gram_stack_matches_per_point_grams(domain):
+    """A (P, k, nodes) stack integrates to P Grams, each the Gram its own
+    columns give alone; no entry mixes two column sets."""
+    shifts = [0.0, 0.4, -0.7]
+
+    def stack(x):
+        return np.stack([np.stack(_gauss_columns(x - s)) for s in shifts]).view(GramColumns)
+
+    grams, errs = integrate(stack, domain, CFG)
+    assert grams.shape == errs.shape == (3, 3, 3)
+    for p, s in enumerate(shifts):
+        ref, _ = integrate(lambda x: np.stack(_gauss_columns(x - s)).view(GramColumns),
+                           domain, CFG)
+        assert np.max(np.abs(grams[p] - ref)) <= 1e-12
+    assert np.all(errs <= CFG.tolerance(grams))
+
+
 def test_2d_gram_columns_match_entrywise_integrals():
     def columns(x, y):
         g = np.exp(-0.5 * (x * x + y * y))
