@@ -271,16 +271,21 @@ class MetricFamily:
     ``eval(lam, *axes)`` returns the metric with shape ``(..., dim, dim)``
     where ``...`` broadcasts over the axis arrays.  ``det`` is an optional
     vectorized fast path for det g; ``analytic_log_det_grad(lam, rho, *axes)``
-    optionally returns d ln det g / d lambda_rho.
+    optionally returns d ln det g / d lambda_rho.  ``broadcasts`` declares
+    that ``eval``, ``det`` and ``analytic_log_det_grad`` also take a stack
+    of P points, ``lam[r]`` of shape ``(P, 1, ..., 1)`` with one 1 per node
+    axis, and return ``(P, *nodes)`` (``eval`` adds its two metric axes);
+    ``det_at`` and ``sqrt_det`` pass such a stack through.
     """
 
     dim: int
     eval: Callable
     det: Optional[Callable] = None
     analytic_log_det_grad: Optional[Callable] = None
+    broadcasts: bool = False
 
     def det_at(self, lam, *axes) -> np.ndarray:
-        lamv = param_values(lam)
+        lamv = lam if np.ndim(lam) > 1 else param_values(lam)
         if self.det is not None:
             return np.asarray(self.det(lamv, *axes))
         g = np.asarray(self.eval(lamv, *axes))
@@ -309,12 +314,17 @@ class WavefunctionFamily:
     ``eval(lam, n, *axes)`` returns complex amplitudes broadcast over the
     axis arrays.  ``analytic_param_grad(lam, n, rho, *axes)``, when present,
     returns d psi / d lambda_rho and is used as the default derivative
-    route.
+    route.  ``broadcasts`` declares that both also take a stack of P
+    points, ``lam[r]`` of shape ``(P, 1, ..., 1)`` with one 1 per node
+    axis, and return ``(P, *nodes)``; a stacked bracket then evaluates
+    every point in one call (see :meth:`GeometryEngine.bracket
+    <curvedqgt.geometry.GeometryEngine.bracket>`).
     """
 
     dim: int
     eval: Callable
     analytic_param_grad: Optional[Callable] = None
+    broadcasts: bool = False
 
 
 # ---------------------------------------------------------------------------

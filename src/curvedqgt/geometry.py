@@ -28,7 +28,10 @@ three-column Gram of [psi, d_delta psi, sigma_delta psi], with
 d_delta = sum_r delta_r d_r taken over the nonzero delta_r only.  A
 bracket also takes a stack of points and integrates all their Grams in
 one pass over shared nodes; a loop hands it the points of one
-Gauss-Kronrod panel at a time.
+Gauss-Kronrod panel at a time.  When the state and the metric both
+broadcast over points (their ``broadcasts`` flag) and differentiate
+analytically, each integrand call samples the whole stack in one family
+call per column; any other family is sampled point by point.
 Conventions:
 
     qmt              = Re(qgt)                  (symmetric)
@@ -52,6 +55,7 @@ from .core import (
     LruCache,
     MetricFamily,
     NormalizationWarning,
+    ParameterBoundaryError,
     WavefunctionFamily,
     as_quantum_number,
     param_values,
@@ -147,7 +151,12 @@ class GeometryEngine:
 
     def _sample(self, lamv, n, axes, rs):
         """psi, [d_r psi] and [sigma_r] for the parameters r in ``rs`` at the
-        given nodes."""
+        given nodes, for one point ``(m,)`` or, on broadcasting families,
+        for a stack ``(m, P, 1, ..., 1)``."""
+        if lamv.ndim > 1:
+            return (self.psi.eval(lamv, n, *axes),
+                    [self.psi.analytic_param_grad(lamv, n, r, *axes) for r in rs],
+                    [-self.metric.analytic_log_det_grad(lamv, r, *axes) for r in rs])
         fd, in_domain = self.cfg.fd, self.in_domain
         psi = np.asarray(self.psi.eval(lamv, n, *axes))
         dpsi = [d_psi(self.psi, n, lamv, r, fd, *axes, in_domain=in_domain)
@@ -170,10 +179,15 @@ class GeometryEngine:
         point's value is <U_a|U_b> = integral sqrt(g) conj(U_a) U_b, and the
         error matrix holds each entry's error estimate; both are ``(k, k)``
         for one point and ``(P, k, k)`` for a stack.  A stack takes one
-        integration: each integrand call samples the columns of every point
-        in turn and contracts them in one batched product, and the rule
-        stops once every entry of every point is within tolerance.  Value
-        and error are read-only and cached under (name, points, n,
+        integration, and the rule stops once every entry of every point is
+        within tolerance.  When both families broadcast (see
+        :class:`~curvedqgt.core.WavefunctionFamily`), each integrand call
+        hands ``columns`` and ``sqrt_det`` the whole stack at once as
+        ``p[r]`` of shape ``(P, 1, ..., 1)``; otherwise it samples the
+        points in turn.  Either way the columns are contracted in one
+        batched product.  Before any family call, a point outside
+        ``in_domain`` raises :class:`ParameterBoundaryError` naming it.
+        Value and error are read-only and cached under (name, points, n,
         tolerances).  Computing them warns with
         :class:`NormalizationWarning`, naming the point, for each point
         whose <psi|psi> is off 1 by more than ``NORM_WARN``: the connection
@@ -182,17 +196,32 @@ class GeometryEngine:
         """
         metric = self.metric
         points = lamv.reshape(-1, lamv.shape[-1])
+        stacked = (lamv.ndim > 1 and self.psi.broadcasts and metric.broadcasts
+                   and self.psi.analytic_param_grad is not None
+                   and metric.analytic_log_det_grad is not None)
 
         def weighted(p, axes):
             cols = np.stack(np.broadcast_arrays(*columns(p, *axes)))
             return cols * np.sqrt(metric.sqrt_det(p, *axes))
 
         def integrand(*axes):
-            stack = [weighted(p, axes) for p in points]
-            cols = stack[0][None] if len(stack) == 1 else np.stack(np.broadcast_arrays(*stack))
+            if stacked:
+                # every point at once: p[r] is (P, 1, ..., 1), columns (P, k, *nodes)
+                nodes = np.broadcast_shapes(*(np.shape(a) for a in axes))
+                p = points.T.reshape(points.shape[::-1] + (1,) * len(nodes))
+                cols = np.stack(np.broadcast_arrays(*columns(p, *axes)), axis=1)
+                cols = cols * np.sqrt(metric.sqrt_det(p, *axes))[:, None]
+            else:
+                stack = [weighted(p, axes) for p in points]
+                cols = stack[0][None] if len(stack) == 1 else np.stack(np.broadcast_arrays(*stack))
             return cols.view(GramColumns)
 
         def compute():
+            if self.in_domain is not None:
+                for p in points:
+                    if not self.in_domain(p):
+                        raise ParameterBoundaryError(
+                            f"parameter point {p} lies outside the parameter domain")
             gram, err = _integrate(integrand, self.domain, self.cfg.quad)
             for p, norm in zip(points, gram[:, 0, 0].real):
                 if abs(norm - 1.0) > NORM_WARN:
@@ -463,8 +492,12 @@ def berry_phase_loop(psi, metric, domain, loop, n, cfg=None, in_domain=None) -> 
     parameter samples one derivative instead of all of them.  The nodes of
     each rule call go to the engine in stacks of at most ``SEGMENT_POINTS``,
     one panel, and each stack is one bracket call: one integration over
-    the family's domain, whatever the number of points.  The connection's
-    imaginary-residue warning still applies at every node.
+    the family's domain, whatever the number of points.  On families that
+    broadcast over points, each integrand call of that integration samples
+    the whole panel in one family call per column.  A stacked point outside
+    ``in_domain`` raises :class:`ParameterBoundaryError` before any family
+    call.  The connection's imaginary-residue warning still applies at
+    every node.
     """
     cfg = cfg or EngineConfig()
     pts = [param_values(p) for p in loop]

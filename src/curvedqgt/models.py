@@ -75,6 +75,20 @@ def _hermite_pair(n: int, z):
     return h_prev, h
 
 
+def _at(v, mask):
+    """``v`` where ``mask`` holds: a scalar as it is, an array (a per-point
+    coefficient ``(P, 1)`` or a node array) broadcast to the mask first."""
+    if not isinstance(v, np.ndarray):
+        return v
+    return (v if v.shape == mask.shape else np.broadcast_to(v, mask.shape))[mask]
+
+
+def _node_shape(lamv, x):
+    """Shape of a 1-D family value: that of the nodes ``x``, behind the
+    points axis of a stacked ``lamv``."""
+    return np.shape(lamv[0])[:1] + np.shape(x)
+
+
 def _masked(arg, builder, shape=None, dtype=float):
     """Evaluate builder(mask) only where exp(arg) does not underflow."""
     arg = np.asarray(arg)
@@ -90,26 +104,28 @@ def _oscillator_norm(n: int, omega: float, hbar: float) -> float:
     return (omega / (math.pi * hbar)) ** 0.25 / math.sqrt(2.0 ** n * math.factorial(n))
 
 
-def _oscillator(u, omega, n, hbar, c_psi=1.0, c_dil=0.0):
-    """c_psi psi_n(u) + c_dil u d psi_n/du for the flat oscillator state.
+def _oscillator(u, omega, n, hbar, c_psi=1.0, c_dil=None):
+    """c_psi psi_n(u) + c_dil u d psi_n/du for the flat oscillator state
+    (no dilation term when c_dil is None).
 
     psi_n(u) = N_n e^(-z^2/2) H_n(z) with z = sqrt(omega/hbar) u, and
     u d psi_n/du = N_n e^(-z^2/2) (z H_n'(z) - z^2 H_n(z)), H_n' = 2n H_{n-1};
     one exponential and one Hermite recurrence serve both terms.  psi_n
     depends on omega only through omega^(1/4) and sqrt(omega) u, so
-    d psi_n/d omega is the pair (1/(4 omega), 1/(2 omega)).
+    d psi_n/d omega is the pair (1/(4 omega), 1/(2 omega)).  omega and the
+    coefficients may be per-point arrays ``(P, 1)`` against nodes ``u``.
     """
-    z = math.sqrt(omega / hbar) * np.asarray(u, dtype=float)
+    z = np.sqrt(omega / hbar) * np.asarray(u, dtype=float)
     arg = -0.5 * z * z
     pref = _oscillator_norm(n, omega, hbar)
 
     def build(mask):
         zm = z[mask]
         h_prev, h = _hermite_pair(n, zm)
-        inner = c_psi * h
-        if c_dil:
-            inner = inner + c_dil * zm * (2.0 * n * h_prev - zm * h)
-        return pref * np.exp(arg[mask]) * inner
+        inner = _at(c_psi, mask) * h
+        if c_dil is not None:
+            inner = inner + _at(c_dil, mask) * zm * (2.0 * n * h_prev - zm * h)
+        return _at(pref, mask) * np.exp(arg[mask]) * inner
 
     return _masked(arg, build)
 
@@ -208,7 +224,7 @@ def _squared_axis() -> Axis:
 
 def _quartic_u(lam, x):
     """Proper length u = sqrt(lam) x^2 of the metric g = 4 lam x^2."""
-    return math.sqrt(lam) * np.square(np.asarray(x, dtype=float))
+    return np.sqrt(lam) * np.square(np.asarray(x, dtype=float))
 
 
 def _quartic_metric() -> MetricFamily:
@@ -221,9 +237,10 @@ def _quartic_metric() -> MetricFamily:
         eval=lambda lamv, x: det(lamv, x)[..., None, None],
         det=det,
         analytic_log_det_grad=lambda lamv, rho, x: (
-            np.full(np.shape(x), 1.0 / lamv[0]) if rho == 0
-            else np.zeros(np.shape(x))
+            np.full(_node_shape(lamv, x), 1.0 / lamv[0]) if rho == 0
+            else np.zeros(_node_shape(lamv, x))
         ),
+        broadcasts=True,
     )
 
 
@@ -269,6 +286,7 @@ def anharmonic_1d(hbar: float = 1.0) -> ModelSpec:
         eval=lambda lamv, n, x: _oscillator(
             _quartic_u(lamv[0], x), lamv[1], n[0], hbar) + 0j,
         analytic_param_grad=psi_grad,
+        broadcasts=True,
     )
 
     domain = Domain(1, (_squared_axis(),))
@@ -298,8 +316,8 @@ def _morse_psi(x, lam, omega, hbar):
     # where exp(-lam x) overflows, psi underflows to zero
     arg = lam * np.asarray(x, dtype=float)
     pref = math.sqrt(2.0) * (omega / (math.pi * hbar)) ** 0.25
-    return _masked(arg, lambda mask: pref * np.exp(
-        -omega * np.exp(-arg[mask]) / (2.0 * hbar)))
+    return _masked(arg, lambda mask: _at(pref, mask) * np.exp(
+        -_at(omega, mask) * np.exp(-arg[mask]) / (2.0 * hbar)))
 
 
 def _morse_dpsi(x, lam, omega, hbar, which: str):
@@ -309,10 +327,11 @@ def _morse_dpsi(x, lam, omega, hbar, which: str):
 
     def build(mask):
         e = np.exp(-arg[mask])
-        psi = pref * np.exp(-omega * e / (2.0 * hbar))
+        om = _at(omega, mask)
+        psi = _at(pref, mask) * np.exp(-om * e / (2.0 * hbar))
         if which == "lam":
-            return psi * (omega * x[mask] * e / (2.0 * hbar))
-        return psi * (1.0 / (4.0 * omega) - e / (2.0 * hbar))
+            return psi * (om * _at(x, mask) * e / (2.0 * hbar))
+        return psi * (1.0 / (4.0 * om) - e / (2.0 * hbar))
 
     return _masked(arg, build)
 
@@ -355,7 +374,7 @@ def morse_like(hbar: float = 1.0) -> ModelSpec:
         expo = -lam * np.asarray(x, dtype=float)
         out = np.full(expo.shape, np.inf)
         mask = expo < 700.0
-        out[mask] = (lam * lam / 4.0) * np.exp(expo[mask])
+        out[mask] = _at(lam * lam / 4.0, mask) * np.exp(expo[mask])
         return out
 
     metric = MetricFamily(
@@ -364,8 +383,9 @@ def morse_like(hbar: float = 1.0) -> ModelSpec:
         det=metric_det,
         analytic_log_det_grad=lambda lamv, rho, x: (
             2.0 / lamv[0] - np.asarray(x, dtype=float) if rho == 0
-            else np.zeros(np.shape(x))
+            else np.zeros(_node_shape(lamv, x))
         ),
+        broadcasts=True,
     )
 
     def only_ground(n):
@@ -382,6 +402,7 @@ def morse_like(hbar: float = 1.0) -> ModelSpec:
         analytic_param_grad=lambda lamv, n, rho, x: _morse_dpsi(
             x, lamv[0], lamv[1], hbar, "lam" if rho == 0 else "omega"
         ) + 0j,
+        broadcasts=True,
     )
 
     def domain_factory(lamv):
@@ -619,7 +640,7 @@ def generalized_anharmonic(hbar: float = 1.0) -> ModelSpec:
     The circulating (2n+1)/(16 omega^3 lam) matrix is Im(QGT), i.e. F/2.
     """
     def omega_of(lamv):
-        return math.sqrt(lamv[2] - lamv[1] ** 2)
+        return np.sqrt(lamv[2] - lamv[1] ** 2)
 
     def phased(lamv, n, x):
         """(u, x^4, quartic state without its phase, the phase)."""
@@ -649,7 +670,8 @@ def generalized_anharmonic(hbar: float = 1.0) -> ModelSpec:
         dbase = _oscillator(u, om, n[0], hbar, *coeffs)
         return (dbase + 1j * dtheta * base) * phase
 
-    psi = WavefunctionFamily(dim=1, eval=psi_eval, analytic_param_grad=psi_grad)
+    psi = WavefunctionFamily(dim=1, eval=psi_eval, analytic_param_grad=psi_grad,
+                             broadcasts=True)
 
     domain = Domain(1, (_squared_axis(),))
 
@@ -726,15 +748,17 @@ def generalized_anharmonic(hbar: float = 1.0) -> ModelSpec:
 def flat_oscillator_1d(hbar: float = 1.0) -> ModelSpec:
     metric = MetricFamily(
         dim=1,
-        eval=lambda lamv, x: np.ones(np.shape(x))[..., None, None],
-        det=lambda lamv, x: np.ones(np.shape(x)),
-        analytic_log_det_grad=lambda lamv, rho, x: np.zeros(np.shape(x)),
+        eval=lambda lamv, x: np.ones(_node_shape(lamv, x))[..., None, None],
+        det=lambda lamv, x: np.ones(_node_shape(lamv, x)),
+        analytic_log_det_grad=lambda lamv, rho, x: np.zeros(_node_shape(lamv, x)),
+        broadcasts=True,
     )
     psi = WavefunctionFamily(
         dim=1,
         eval=lambda lamv, n, x: _oscillator(x, lamv[0], n[0], hbar) + 0j,
         analytic_param_grad=lambda lamv, n, rho, x: _oscillator(
             x, lamv[0], n[0], hbar, *_omega_pair(lamv[0])) + 0j,
+        broadcasts=True,
     )
     domain = Domain.full_line()
     hint = SpectralHint(

@@ -167,8 +167,9 @@ def test_geometric_tensors_invariants(generalized):
 def test_wavefunction_family_fields(anharmonic):
     assert isinstance(anharmonic.psi, WavefunctionFamily)
     assert anharmonic.psi.analytic_param_grad is not None
+    assert anharmonic.psi.broadcasts
     assert [f.name for f in dataclasses.fields(WavefunctionFamily)] == [
-        "dim", "eval", "analytic_param_grad"]
+        "dim", "eval", "analytic_param_grad", "broadcasts"]
 
 
 def test_lru_cache_concurrent_counts_and_bound():

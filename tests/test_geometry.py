@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -11,7 +12,9 @@ from curvedqgt.core import (
     EngineError,
     ImaginaryResidueWarning,
     MetricFamily,
+    MetricPositivityError,
     NormalizationWarning,
+    ParameterBoundaryError,
     WavefunctionFamily,
 )
 from curvedqgt.quadrature import QuadratureConfig, integrate
@@ -597,10 +600,11 @@ def test_connection_stack_on_a_finite_interval_matches_points():
 
 def _counting_loop(psi, generalized, monkeypatch, loop):
     """Run a loop while counting family evaluations, the points of each
-    bracket call, and the integrand calls of the family-domain integrations."""
+    bracket call, and the integrand calls of each family-domain
+    integration."""
     import dataclasses
 
-    calls = {"psi": 0, "integrand": 0, "de": 0, "points": []}
+    calls = {"psi": 0, "integrand": [], "points": []}
 
     def counted_eval(*args):
         calls["psi"] += 1
@@ -612,10 +616,10 @@ def _counting_loop(psi, generalized, monkeypatch, loop):
     def counting_integrate(f, dom, cfg=None):
         if dom is not domain:  # the segment rule on [0, 1]
             return real_integrate(f, dom, cfg)
-        calls["de"] += 1
+        calls["integrand"].append(0)
 
         def counted(*axes):
-            calls["integrand"] += 1
+            calls["integrand"][-1] += 1
             return f(*axes)
 
         return real_integrate(counted, dom, cfg)
@@ -640,11 +644,12 @@ _BC_RECTANGLE = [np.array([1.0, -0.3, 0.9]), np.array([1.0, 0.3, 0.9]),
 def test_loop_integrates_each_panel_in_one_pass(generalized, monkeypatch):
     """A rectangle whose edges converge on their first Gauss-Kronrod panel
     takes one family-domain integration per edge, for all 15 points of the
-    panel: psi is sampled once per point per integrand call."""
+    panel: the family broadcasts, so psi is evaluated once per integrand
+    call for the whole panel."""
     _, calls = _counting_loop(generalized.psi, generalized, monkeypatch, _BC_RECTANGLE)
     assert calls["points"] == [geo.SEGMENT_POINTS] * 4
-    assert calls["de"] == 4
-    assert calls["psi"] == geo.SEGMENT_POINTS * calls["integrand"]
+    assert len(calls["integrand"]) == 4
+    assert calls["psi"] == sum(calls["integrand"])
 
 
 def test_loop_warns_for_each_mis_normalized_point(generalized):
@@ -665,15 +670,120 @@ def test_loop_warns_for_each_mis_normalized_point(generalized):
 def test_subdivided_loop_stacks_at_most_one_panel(generalized, monkeypatch):
     """A gauge phase that oscillates along b forces Gauss-Kronrod
     subdivision: many panels are evaluated, no bracket call stacks more than
-    one panel's points, and the closed loop cancels the gauge term."""
+    one panel's points, and the closed loop cancels the gauge term.  A
+    gauge-transformed family does not broadcast, so every integrand call
+    samples each point of its stack in turn."""
     gauged = geo.gauge_transform(generalized.psi, lambda lv: 0.3 * np.sin(40.0 * lv[1]))
+    assert not gauged.broadcasts
     phase, calls = _counting_loop(gauged, generalized, monkeypatch, _BC_RECTANGLE)
     assert sum(calls["points"]) > 4 * geo.SEGMENT_POINTS
     assert max(calls["points"]) <= geo.SEGMENT_POINTS
+    assert len(calls["integrand"]) == len(calls["points"])
+    assert calls["psi"] == sum(p * k for p, k in zip(calls["points"], calls["integrand"]))
     plain = geo.berry_phase_loop(generalized.psi, generalized.metric,
                                  generalized.domain_for(_BC_RECTANGLE[0]), _BC_RECTANGLE,
                                  (0,), in_domain=generalized.in_domain)
     assert abs(phase - plain) < 1e-8
+
+
+def _stack_gram(model, psi, metric, stack, n):
+    """Grams of [psi, d_r psi, sigma_r psi] at every point of a stack, and
+    the parameter shapes the columns were sampled at."""
+    eng = geo.GeometryEngine(psi, metric, model.domain_for(stack[0]),
+                             in_domain=model.in_domain)
+    rs = range(stack.shape[1])
+    shapes = set()
+
+    def columns(p, x):
+        shapes.add(p.shape)
+        state = psi.eval(p, n, x)
+        return [state, *(psi.analytic_param_grad(p, n, r, x) for r in rs),
+                *(-metric.analytic_log_det_grad(p, r, x) * state for r in rs)]
+
+    return eng.bracket("stack", stack, n, columns)[0], shapes
+
+
+_BROADCAST_STACKS = [
+    ("anharmonic-1d", [[1.0, 1.0], [1.2, 0.9], [0.8, 1.3]], 2),
+    ("morse-like", [[1.0, 1.0], [1.1, 0.9], [0.9, 1.2]], 0),
+    ("generalized-anharmonic", [[1.0, -0.2, 1.2], [1.1, 0.1, 1.0], [0.9, 0.3, 1.4]], 1),
+    ("flat-oscillator-1d", [[1.0], [1.5], [0.7]], 3),
+]
+
+
+@pytest.mark.parametrize("name,stack,n", _BROADCAST_STACKS)
+def test_broadcast_stack_matches_per_point_stack(name, stack, n):
+    """A registry family samples a stack in one call per column, and its
+    Grams equal those of the same family sampled point by point."""
+    model = models.get_model(name)
+    stack = np.array(stack)
+    fast, fast_shapes = _stack_gram(model, model.psi, model.metric, stack, (n,))
+    slow, slow_shapes = _stack_gram(
+        model, dataclasses.replace(model.psi, broadcasts=False),
+        dataclasses.replace(model.metric, broadcasts=False), stack, (n,))
+    m = stack.shape[1]
+    assert fast_shapes == {(m, 3, 1)} and slow_shapes == {(m,)}
+    assert fast.shape == slow.shape == (3, 2 * m + 1, 2 * m + 1)
+    assert np.max(np.abs(fast - slow)) <= 1e-15 * np.max(np.abs(slow))
+
+
+def test_broadcast_stack_with_a_non_positive_det_raises(anharmonic):
+    """det g = 4 lam x^2 (omega - 1.05) is negative at the last point of the
+    stack: the broadcast path raises instead of integrating a NaN."""
+    shapes = set()
+
+    def det(lamv, x):
+        shapes.add(np.shape(lamv))
+        return (lamv[1] - 1.05) * anharmonic.metric.det(lamv, x)
+
+    def log_det_grad(lamv, rho, x):
+        if rho == 0:
+            return anharmonic.metric.analytic_log_det_grad(lamv, rho, x)
+        return np.full(np.broadcast_shapes(np.shape(lamv[1]), np.shape(x)),
+                       1.0 / (lamv[1] - 1.05))
+
+    metric = MetricFamily(dim=1, eval=lambda lamv, x: det(lamv, x)[..., None, None],
+                          det=det, analytic_log_det_grad=log_det_grad, broadcasts=True)
+    stack = np.array([[1.0, 1.2], [1.0, 1.1], [1.0, 1.0]])
+    eng = geo.GeometryEngine(anharmonic.psi, metric, anharmonic.domain_for(stack[0]))
+    with pytest.raises(MetricPositivityError):
+        eng.berry_connection_along(stack, (0,), np.array([0.0, 0.2]))
+    assert shapes == {(2, 3, 1)}
+
+
+def _loop_with_counted_psi(model, loop, calls):
+    """Run a loop on the model, appending to ``calls`` at every psi.eval."""
+    def counted_eval(*args):
+        calls.append(args)
+        return model.psi.eval(*args)
+
+    psi = dataclasses.replace(model.psi, eval=counted_eval)
+    return geo.berry_phase_loop(psi, model.metric, model.domain_for(loop[0]), loop,
+                                (0,), in_domain=model.in_domain)
+
+
+def test_loop_reaching_c_below_b_squared_raises(generalized):
+    """Where c < b^2 the frequency sqrt(c - b^2) is not real: the first
+    edge's panel holds such points, and the loop fails typed, naming one,
+    before any family call."""
+    loop = [np.array([1.0, -0.6, 0.3]), np.array([1.0, 0.6, 0.3]),
+            np.array([1.0, 0.6, 1.0]), np.array([1.0, -0.6, 1.0])]
+    calls = []
+    with pytest.raises(ParameterBoundaryError, match=r"point \[ 1\. +-0\.59"):
+        _loop_with_counted_psi(generalized, loop, calls)
+    assert not calls
+
+
+def test_loop_crossing_morse_lambda_zero_raises(morse):
+    """The Gauss-Kronrod midpoint of an edge from lambda = -0.2 to 0.2 is
+    lambda = 0, where the Morse metric degenerates: the loop fails typed,
+    naming that point, before any family call."""
+    loop = [np.array([-0.2, 1.0]), np.array([0.2, 1.0]),
+            np.array([0.2, 1.3]), np.array([-0.2, 1.3])]
+    calls = []
+    with pytest.raises(ParameterBoundaryError, match=r"point \[0\. 1\.\]"):
+        _loop_with_counted_psi(morse, loop, calls)
+    assert not calls
 
 
 @pytest.mark.filterwarnings("ignore::curvedqgt.core.NormalizationWarning")

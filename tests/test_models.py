@@ -224,6 +224,30 @@ def test_morse_determinant_positive(morse):
         assert np.linalg.det(G) > 0.0
 
 
+def test_morse_stack_with_different_underflow_masks_matches_points(morse):
+    """Each point of a stack floors lam x at -700 on its own nodes: a
+    broadcast call gives every point the values it gets alone, up to the
+    last bit of a per-point power."""
+    stack = np.array([[1.0, 1.0], [1.6, 0.9], [2.5, 1.2]])
+    x = np.linspace(-800.0, 5.0, 200)
+    masks = stack[:, :1] * x > -700.0
+    assert len({int(row.sum()) for row in masks}) == 3
+    lam = stack.T.reshape(2, 3, 1)
+    calls = [
+        lambda p: morse.psi.eval(p, (0,), x),
+        lambda p: morse.psi.analytic_param_grad(p, (0,), 0, x),
+        lambda p: morse.psi.analytic_param_grad(p, (0,), 1, x),
+        lambda p: morse.metric.det(p, x),
+        lambda p: morse.metric.analytic_log_det_grad(p, 0, x),
+        lambda p: morse.metric.analytic_log_det_grad(p, 1, x),
+    ]
+    for call in calls:
+        out = call(lam)
+        assert out.shape == (3, x.size)
+        for row, p in zip(out, stack):
+            np.testing.assert_allclose(row, call(p), rtol=1e-15, atol=0.0)
+
+
 def test_coupled_k1_scaling_when_decoupled(coupled):
     """Near k2 = 0 the k1-k1 component scales like 1/k1^2."""
     k2 = 1e-4
