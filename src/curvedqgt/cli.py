@@ -143,7 +143,7 @@ def _get_model(name, hbar):
     if not name:
         raise click.UsageError("a --model name is required")
     try:
-        return mdl.get_model(name, hbar=hbar, verify=False)
+        return mdl.get_model(name, hbar=hbar)
     except KeyError:
         raise click.UsageError(
             f"unknown model '{name}'; available: {', '.join(mdl.available_models())}"
@@ -338,7 +338,7 @@ class _SweepTask:
 
 
 def _run_sweep_task(task: _SweepTask):
-    model = mdl.get_model(task.model_name, hbar=task.hbar, verify=False)
+    model = mdl.get_model(task.model_name, hbar=task.hbar)
     cfg = _engine_config(task.quad_rel_tol, task.fd_step)
     lamv = np.array(task.lam_values)
     try:
@@ -366,6 +366,10 @@ def _parse_grid(specs):
             raise click.UsageError("grid count must be at least 1")
         if scale not in ("linear", "log"):
             raise click.UsageError(f"unknown grid scale '{scale}'")
+        if scale == "log" and not lo * hi > 0:
+            raise click.UsageError(
+                f"bad --grid '{item}'; a log grid needs ends of one sign, both nonzero"
+            )
         if count == 1:
             values = np.array([lo])
         elif scale == "log":

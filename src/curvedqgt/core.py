@@ -292,12 +292,22 @@ class MetricFamily:
         return np.linalg.det(g)
 
     def _positive_det(self, lam, *axes) -> np.ndarray:
-        """det g, raising when it is not positive at some node."""
+        """det g, raising when it is not positive at some node.
+
+        The error names the first such node, which it also carries as
+        ``location``, and its parameter point (of a stack, the failing one).
+        """
         d = self.det_at(lam, *axes)
-        if np.any(np.asarray(d) <= 0):
+        bad = np.asarray(d) <= 0
+        if np.any(bad):
+            bad, *nodes = np.broadcast_arrays(bad, *axes)
+            idx = np.unravel_index(np.argmax(bad), bad.shape)
+            stacked = np.ndim(lam) > 1
+            point = np.asarray(lam)[:, idx[0]].ravel() if stacked else param_values(lam)
+            loc = tuple(float(a[idx]) for a in nodes)
             raise MetricPositivityError(
-                "metric not positive-definite: det g <= 0 inside the domain"
-            )
+                f"metric not positive-definite: det g <= 0 at x = {loc} "
+                f"for parameters {point}", location=loc)
         return d
 
     def sqrt_det(self, lam, *axes) -> np.ndarray:
@@ -346,12 +356,6 @@ class AxisTransform:
     inv_jac: Callable
     u_lo: float
     u_hi: float
-
-    def roundtrip_error(self, u_samples: np.ndarray) -> float:
-        x = self.inv(u_samples)
-        u_back = self.fwd(x)
-        scale = np.maximum(1.0, np.abs(u_samples))
-        return float(np.max(np.abs(u_back - u_samples) / scale))
 
 
 @dataclass(frozen=True)

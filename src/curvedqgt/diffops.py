@@ -3,8 +3,8 @@
 Derivatives act on the external parameters only; nothing here
 differentiates in the configuration variable.  Steps scale with the
 parameter magnitude so relative truncation error stays uniform across
-sweep grids, and stencils refuse to cross a declared parameter-domain
-boundary unless one-sided differencing is explicitly enabled.
+sweep grids.  A stencil never crosses a declared parameter-domain
+boundary: one that would raises ParameterBoundaryError.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ from .core import (
 )
 
 __all__ = ["FdConfig", "fd_derivative", "d_psi", "d_log_det_g",
-           "sigma_from_log_det", "sigma_from_contraction"]
+           "sigma_from_contraction"]
 
 _STENCILS = {
     "central-2": ((-1.0, 1.0), (-0.5, 0.5)),
     "central-4": ((-2.0, -1.0, 1.0, 2.0),
                   (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)),
 }
-_ONE_SIDED = ((0.0, 1.0, 2.0), (-1.5, 2.0, -0.5))
 
 
 @dataclass(frozen=True)
@@ -66,12 +65,10 @@ def _check_stencil(lamv, rho, offsets, h, in_domain):
 
 
 def fd_derivative(fn: Callable, lam, rho: int, cfg: Optional[FdConfig] = None,
-                  in_domain: Optional[Callable] = None,
-                  allow_one_sided: bool = False):
+                  in_domain: Optional[Callable] = None):
     """d fn / d lambda_rho for fn taking the full parameter vector.
 
-    A stencil leaving the parameter domain raises unless one-sided
-    differencing was explicitly requested.
+    A stencil leaving the parameter domain raises ParameterBoundaryError.
     """
     if cfg is None:
         cfg = FdConfig()
@@ -79,65 +76,42 @@ def fd_derivative(fn: Callable, lam, rho: int, cfg: Optional[FdConfig] = None,
     h = cfg.step(lamv[rho])
     offs, coeffs = _STENCILS[cfg.scheme]
     if not _check_stencil(lamv, rho, offs, h, in_domain):
-        return _one_sided(fn, lamv, rho, h, in_domain, allow_one_sided)
+        raise ParameterBoundaryError(
+            f"finite-difference stencil for parameter {rho} at {lamv} crosses "
+            "a domain boundary"
+        )
     return sum(c * fn(p) for c, p in
                zip(coeffs, _stencil_points(lamv, rho, offs, h))) / h
 
 
-def _one_sided(fn, lamv, rho, h, in_domain, allow_one_sided):
-    if not allow_one_sided:
-        raise ParameterBoundaryError(
-            f"finite-difference stencil for parameter {rho} at {lamv} crosses "
-            "a domain boundary; pass allow_one_sided=True to opt in to a "
-            "one-sided second-order scheme"
-        )
-    offs, coeffs = _ONE_SIDED
-    for sign in (1.0, -1.0):
-        pts = _stencil_points(lamv, rho, [sign * o for o in offs], h)
-        if in_domain is None or all(in_domain(p) for p in pts):
-            return sign * sum(c * fn(p) for c, p in zip(coeffs, pts)) / h
-    raise ParameterBoundaryError(
-        f"no admissible one-sided stencil for parameter {rho} at {lamv}"
-    )
-
-
 def d_psi(psi: WavefunctionFamily, n, lam, rho: int,
           cfg: Optional[FdConfig] = None, *axes,
-          in_domain: Optional[Callable] = None,
-          allow_one_sided: bool = False, force_fd: bool = False):
+          in_domain: Optional[Callable] = None):
     """d psi_n / d lambda_rho at the given configuration points.
 
-    Returns the analytic derivative whenever the family supplies one; the
-    finite-difference value is then only exercised by tests (force_fd).
+    Returns the analytic derivative whenever the family supplies one.
     """
     n = as_quantum_number(n)
     lamv = param_values(lam)
-    if psi.analytic_param_grad is not None and not force_fd:
+    if psi.analytic_param_grad is not None:
         return np.asarray(psi.analytic_param_grad(lamv, n, rho, *axes))
     return fd_derivative(
         lambda p: np.asarray(psi.eval(p, n, *axes), dtype=complex),
-        lamv, rho, cfg, in_domain=in_domain, allow_one_sided=allow_one_sided,
+        lamv, rho, cfg, in_domain=in_domain,
     )
 
 
 def d_log_det_g(metric: MetricFamily, lam, rho: int,
                 cfg: Optional[FdConfig] = None, *axes,
-                in_domain: Optional[Callable] = None,
-                allow_one_sided: bool = False, force_fd: bool = False):
+                in_domain: Optional[Callable] = None):
     """d ln det g / d lambda_rho, the source of every curvature correction."""
     lamv = param_values(lam)
-    if metric.analytic_log_det_grad is not None and not force_fd:
+    if metric.analytic_log_det_grad is not None:
         return np.asarray(metric.analytic_log_det_grad(lamv, rho, *axes))
     return fd_derivative(
         lambda p: np.log(np.asarray(metric.det_at(p, *axes))),
-        lamv, rho, cfg, in_domain=in_domain, allow_one_sided=allow_one_sided,
+        lamv, rho, cfg, in_domain=in_domain,
     )
-
-
-def sigma_from_log_det(metric: MetricFamily, lam, rho: int,
-                       cfg: Optional[FdConfig] = None, *axes, **kw):
-    """sigma_rho = -d ln det g / d lambda_rho."""
-    return -d_log_det_g(metric, lam, rho, cfg, *axes, **kw)
 
 
 def sigma_from_contraction(metric: MetricFamily, lam, rho: int,

@@ -53,8 +53,12 @@ class SusceptibilityConfig:
     residual_threshold: float = 1e-3
 
     def __post_init__(self):
+        if not self.delta_steps:
+            raise ValueError("delta_steps needs at least one step")
         if not all(d > 0 for d in self.delta_steps):
             raise ValueError("all displacement steps must be positive")
+        if not self.residual_threshold > 0:
+            raise ValueError("residual_threshold must be positive")
 
 
 @dataclass

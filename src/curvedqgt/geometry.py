@@ -71,7 +71,6 @@ __all__ = [
     "gauge_transform",
     "reparameterize",
     "berry_phase_loop",
-    "connection_transform_report",
 ]
 
 # Gram matrices (or Gram stacks) an engine keeps; a Berry loop caches one
@@ -89,9 +88,8 @@ SEGMENT_TOL = 1e-7
 # connection points per bracket call of a Berry loop: one 7/15
 # Gauss-Kronrod panel, so a subdivision step never stacks more
 SEGMENT_POINTS = 15
-# central differences of a gauge phase given without alpha_grad, and of ln|det J|
+# central differences of a gauge phase given without alpha_grad
 _ALPHA_FD = FdConfig(base_step=1e-6, scheme="central-2")
-_JACOBIAN_FD = FdConfig(base_step=1e-5, scheme="central-2")
 
 
 @dataclass(frozen=True)
@@ -270,9 +268,6 @@ class GeometryEngine:
         br = self.bracket_set(lam, n)
         return br["norm"], float(br["gram_err"][0, 0])
 
-    def sigma_expectation(self, lam, n, rho):
-        return float(self.bracket_set(lam, n)["s"][rho])
-
     def _real_connection(self, c, s):
         """Real part of the connection formula; warns on a large imaginary part."""
         raw = _connection(c, s)
@@ -315,12 +310,6 @@ class GeometryEngine:
         gram, _ = self.bracket(("along", delta.tobytes()), lamv, n, columns)
         beta = self._real_connection(gram[..., 0, 1], gram[..., 0, 2].real)
         return float(beta) if lamv.ndim == 1 else beta
-
-    def gamma(self, lam, n):
-        br = self.bracket_set(lam, n)
-        A, B, S = br["A"], br["B"], br["S"]
-        out = 0.5 * (A + A.T) - 0.125 * (B + B.T + np.conj(B + B.T)) + S / 16.0
-        return out.real
 
     def qmt(self, lam, n):
         return self.qgt(lam, n).qmt
@@ -526,46 +515,3 @@ def berry_phase_loop(psi, metric, domain, loop, n, cfg=None, in_domain=None) -> 
         val, _ = integrate(integrand, Domain.interval(0.0, 1.0), seg_cfg)
         total += val.real
     return total
-
-
-def connection_transform_report(psi, metric, domain, lam_prime, n,
-                                map_fn, jacobian_fn, cfg=None, in_domain=None,
-                                in_domain_prime=None) -> dict:
-    """Numerical comparison of connection transformation laws.
-
-    Computes the connection of the pulled-back family directly, the plain
-    covector contraction J^T beta, and the pieces of the density-weighted
-    law (Jacobian-determinant factor and the inhomogeneous term, which
-    reduces to -(1/2) d ln|det J|).  No law is assumed; callers decide
-    what to assert.
-    """
-    cfg = cfg or EngineConfig()
-    lamp = param_values(lam_prime)
-    base = np.asarray(map_fn(lamp), dtype=float)
-    jac = np.asarray(jacobian_fn(lamp), dtype=float)
-
-    psi2, metric2 = reparameterize(psi, metric, map_fn, jacobian_fn)
-    beta_direct = GeometryEngine(
-        psi2, metric2, domain, cfg, in_domain=in_domain_prime
-    ).berry_connection(lamp, n)
-    beta_base = GeometryEngine(
-        psi, metric, domain, cfg, in_domain=in_domain
-    ).berry_connection(base, n)
-
-    det_j = float(np.linalg.det(jac))
-
-    def log_abs_det(p):
-        return np.log(abs(np.linalg.det(np.asarray(jacobian_fn(p)))))
-
-    dlog_det = np.array([fd_derivative(log_abs_det, lamp, rho, _JACOBIAN_FD)
-                         for rho in range(lamp.size)])
-
-    return {
-        "beta_direct": beta_direct,
-        "beta_base": beta_base,
-        "covector_law": jac.T @ beta_base,
-        "jacobian_determinant": det_j,
-        "density_modulus_factor": abs(det_j),
-        "inhomogeneous_term": -0.5 * dlog_det,
-        "density_law_real_part": abs(det_j) * (jac.T @ beta_base),
-    }

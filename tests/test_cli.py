@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from curvedqgt.cli import main
+from curvedqgt.core import NormalizationWarning
 
 
 @pytest.fixture()
@@ -152,6 +153,15 @@ def test_sweep_coupled_gab_decays(runner):
     gab = [abs(r["qmt"][2][3]) for r in recs]
     assert gab[0] < 1e-4
     assert gab == sorted(gab)
+
+
+@pytest.mark.parametrize("grid", ["lambda=0:1:3:log", "lambda=-1:1:3:log"])
+def test_sweep_log_grid_through_zero_exits_2(runner, grid):
+    """A log grid needs two nonzero ends of one sign."""
+    result = runner.invoke(main, ["sweep", "--model", "anharmonic-1d", "--omega", "1",
+                                  "--grid", grid])
+    assert result.exit_code == 2
+    assert "log grid" in result.output
 
 
 def test_sweep_deterministic_across_jobs(runner, tmp_path):
@@ -336,10 +346,11 @@ def test_validate_morse_route_deviation(runner):
 
 
 def test_validate_mis_normalized_exits_1(runner):
-    result = runner.invoke(main, [
-        "validate", "--model", "anharmonic-1d", "--lambda", "1", "--omega", "1",
-        "--mis-normalize", "1.01",
-    ])
+    with pytest.warns(NormalizationWarning, match="not normalized"):
+        result = runner.invoke(main, [
+            "validate", "--model", "anharmonic-1d", "--lambda", "1", "--omega", "1",
+            "--mis-normalize", "1.01",
+        ])
     assert result.exit_code == 1
     report = json.loads(result.stdout.strip())
     assert not report["checks"]["norm_deviation"]["pass"]

@@ -10,8 +10,19 @@ from curvedqgt.diffops import (
     d_psi,
     fd_derivative,
     sigma_from_contraction,
-    sigma_from_log_det,
 )
+
+
+def _fd_psi(psi, n, lamv, rho, cfg, *axes, in_domain):
+    """The finite-difference d psi_n / d lambda_rho, bypassing the analytic one."""
+    return fd_derivative(lambda p: psi.eval(p, n, *axes), lamv, rho, cfg,
+                         in_domain=in_domain)
+
+
+def _fd_log_det(metric, lamv, rho, cfg, *axes, in_domain):
+    """The finite-difference d ln det g / d lambda_rho."""
+    return fd_derivative(lambda p: np.log(metric.det_at(p, *axes)), lamv, rho, cfg,
+                         in_domain=in_domain)
 
 
 def test_constant_in_parameter_derivative_is_zero():
@@ -30,8 +41,8 @@ def test_quartic_ground_state_hand_derivative(anharmonic):
     psi0 = anharmonic.psi.eval(lam, (0,), x)
     expected = psi0 * (1.0 / 4.0 - 0.5)
     analytic = d_psi(anharmonic.psi, (0,), lam, 1, FdConfig(), x)
-    fd = d_psi(anharmonic.psi, (0,), lam, 1, FdConfig(), x, force_fd=True,
-               in_domain=anharmonic.in_domain)
+    fd = _fd_psi(anharmonic.psi, (0,), lam, 1, FdConfig(), x,
+                 in_domain=anharmonic.in_domain)
     assert abs(analytic[0] - expected[0]) < 1e-12
     assert abs(fd[0] - expected[0]) < 1e-8
 
@@ -49,16 +60,12 @@ def test_fourth_order_convergence_rate():
 
 
 def test_boundary_guard_requires_explicit_opt_in(anharmonic):
+    """A stencil that would cross the parameter boundary raises; there is no
+    one-sided fallback to opt in to."""
     lam = np.array([5e-5, 1.0])
-    with pytest.raises(ParameterBoundaryError, match="one-sided"):
-        d_psi(anharmonic.psi, (0,), lam, 0, FdConfig(), np.array([1.0]),
-              in_domain=anharmonic.in_domain, force_fd=True)
-    one_sided = d_psi(anharmonic.psi, (0,), lam, 0,
-                      FdConfig(base_step=1e-5, scheme="central-2"),
-                      np.array([1.0]), in_domain=anharmonic.in_domain,
-                      force_fd=True, allow_one_sided=True)
-    analytic = d_psi(anharmonic.psi, (0,), lam, 0, FdConfig(), np.array([1.0]))
-    assert abs(one_sided[0] - analytic[0]) / abs(analytic[0]) < 1e-3
+    with pytest.raises(ParameterBoundaryError, match="crosses a domain boundary"):
+        _fd_psi(anharmonic.psi, (0,), lam, 0, FdConfig(), np.array([1.0]),
+                in_domain=anharmonic.in_domain)
 
 
 def test_analytic_grad_matches_fd_on_all_models(all_models, flat):
@@ -78,8 +85,8 @@ def test_analytic_grad_matches_fd_on_all_models(all_models, flat):
                         for _ in range(model.dim)]
                 for rho in range(model.m):
                     ana = d_psi(model.psi, n, lamv, rho, cfg, *axes)
-                    fd = d_psi(model.psi, n, lamv, rho, cfg, *axes, force_fd=True,
-                               in_domain=model.in_domain)
+                    fd = _fd_psi(model.psi, n, lamv, rho, cfg, *axes,
+                                 in_domain=model.in_domain)
                     scale = np.max(np.abs(ana)) + 1e-12
                     worst = max(worst, float(np.max(np.abs(ana - fd)) / scale))
             assert worst < 1e-7, f"{model.name} n = {n}: {worst:.2e}"
@@ -88,18 +95,17 @@ def test_analytic_grad_matches_fd_on_all_models(all_models, flat):
 def test_log_det_grad_examples(anharmonic, morse):
     cfg = FdConfig()
     x = np.array([0.7, 1.4])
-    val = d_log_det_g(anharmonic.metric, np.array([2.0, 1.0]), 0, cfg, x,
-                      force_fd=True, in_domain=anharmonic.in_domain)
+    val = _fd_log_det(anharmonic.metric, np.array([2.0, 1.0]), 0, cfg, x,
+                      in_domain=anharmonic.in_domain)
     assert np.max(np.abs(val - 0.5)) < 1e-9
 
     lam = np.array([1.5, 1.0])
-    val = d_log_det_g(morse.metric, lam, 0, cfg, x, force_fd=True,
-                      in_domain=morse.in_domain)
+    val = _fd_log_det(morse.metric, lam, 0, cfg, x, in_domain=morse.in_domain)
     assert np.max(np.abs(val - (2.0 / 1.5 - x))) < 1e-9
 
     # a parameter the metric does not contain
-    val = d_log_det_g(anharmonic.metric, np.array([2.0, 1.0]), 1, cfg, x,
-                      force_fd=True, in_domain=anharmonic.in_domain)
+    val = _fd_log_det(anharmonic.metric, np.array([2.0, 1.0]), 1, cfg, x,
+                      in_domain=anharmonic.in_domain)
     assert np.max(np.abs(val)) < 1e-10
 
 
@@ -112,9 +118,8 @@ def test_sigma_two_route_identity(all_models):
             lamv = model.sample_parameters(rng)
             axes = [rng.uniform(0.3, 1.5, size=25) for _ in range(model.dim)]
             for rho in range(model.m):
-                s1 = sigma_from_log_det(model.metric, lamv, rho, cfg, *axes,
-                                        force_fd=True,
-                                        in_domain=model.in_domain)
+                s1 = -d_log_det_g(model.metric, lamv, rho, cfg, *axes,
+                                  in_domain=model.in_domain)
                 s2 = sigma_from_contraction(model.metric, lamv, rho, cfg, *axes,
                                             in_domain=model.in_domain)
                 assert np.max(np.abs(s1 - s2)) < 1e-8, (model.name, rho)

@@ -166,3 +166,10 @@ def test_non_positive_metric_rejected(flat):
 def test_config_validation():
     with pytest.raises(ValueError):
         SusceptibilityConfig(delta_steps=(1e-2, -1e-3))
+
+
+@pytest.mark.parametrize("kwargs", [{"delta_steps": ()}, {"residual_threshold": 0.0},
+                                    {"residual_threshold": -1.0}])
+def test_config_rejects_empty_steps_and_non_positive_threshold(kwargs):
+    with pytest.raises(ValueError):
+        SusceptibilityConfig(**kwargs)

@@ -62,8 +62,9 @@ def test_inner_product_cross_state_overlap(anharmonic):
 def test_sigma_expectation_values(anharmonic, morse, engine_factory):
     lam = np.array([1.0, 1.0])
     eng = engine_factory(anharmonic, lam)
-    assert abs(eng.sigma_expectation(lam, (0,), 1)) < 1e-10
-    assert abs(eng.sigma_expectation(lam, (0,), 0) - (-1.0)) < 1e-8
+    s = eng.bracket_set(lam, (0,))["s"]
+    assert abs(s[1]) < 1e-10
+    assert abs(s[0] - (-1.0)) < 1e-8
 
     eng_m = engine_factory(morse, lam)
     # independent oracle: <x> under the curved measure by library quadrature
@@ -72,7 +73,7 @@ def test_sigma_expectation_values(anharmonic, morse, engine_factory):
         * x * np.exp(-np.exp(-x)),
         -30.0, 60.0, limit=400,
     )
-    assert abs(eng_m.sigma_expectation(lam, (0,), 0) - (x_avg - 2.0)) < 1e-8
+    assert abs(eng_m.bracket_set(lam, (0,))["s"][0] - (x_avg - 2.0)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +163,11 @@ def test_registry_models_do_not_warn_on_normalization(all_models, flat):
 # ---------------------------------------------------------------------------
 
 def test_gamma_anharmonic_ground(engine_factory, anharmonic):
+    """gamma, the QMT before the connection product is subtracted, equals the
+    QMT on the real families of these gamma tests, where beta = 0."""
     lam = np.array([1.0, 1.0])
-    gamma = engine_factory(anharmonic, lam).gamma(lam, (0,))
-    assert np.max(np.abs(gamma - 0.125)) < 1e-8
+    G = engine_factory(anharmonic, lam).qmt(lam, (0,))
+    assert np.max(np.abs(G - 0.125)) < 1e-8
 
 
 def test_gamma_zero_for_constant_family():
@@ -179,8 +182,8 @@ def test_gamma_zero_for_constant_family():
         eval=lambda lamv, n, x: np.pi ** -0.25 * np.exp(-np.asarray(x) ** 2 / 2) + 0j,
     )
     eng = geo.GeometryEngine(fam, metric, Domain.full_line())
-    gamma = eng.gamma(np.array([1.0]), (0,))
-    assert np.max(np.abs(gamma)) < 1e-10
+    G = eng.qmt(np.array([1.0]), (0,))
+    assert np.max(np.abs(G)) < 1e-10
 
 
 def test_gamma_flat_reduces_to_overlap_form(flat, engine_factory):
@@ -190,8 +193,8 @@ def test_gamma_flat_reduces_to_overlap_form(flat, engine_factory):
     br = eng.bracket_set(lam, (0,))
     assert np.max(np.abs(br["s"])) < 1e-12
     assert np.max(np.abs(br["B"])) < 1e-12
-    gamma = eng.gamma(lam, (0,))
-    assert abs(gamma[0, 0] - 0.125) < 1e-9
+    G = eng.qmt(lam, (0,))
+    assert abs(G[0, 0] - 0.125) < 1e-9
 
 
 def test_qmt_anharmonic_printed_values(anharmonic):
@@ -411,17 +414,18 @@ def test_reparameterize_connection_covector_law(generalized):
     map_fn = lambda lp: np.array([lp[0], lp[1] ** (1.0 / 3.0), lp[2]])
     jac_fn = lambda lp: np.diag([1.0, (1.0 / 3.0) * lp[1] ** (-2.0 / 3.0), 1.0])
     lamp = np.array([1.0, 0.027, 1.2])
-    report = geo.connection_transform_report(
-        generalized.psi, generalized.metric,
-        generalized.domain_for(map_fn(lamp)), lamp, (0,), map_fn, jac_fn,
-        in_domain=generalized.in_domain,
-        in_domain_prime=lambda lv: lv[0] > 0 and lv[2] - lv[1] ** (2.0 / 3.0) > 0,
-    )
-    assert np.max(np.abs(report["beta_direct"] - report["covector_law"])) < 1e-6
-    assert report["density_modulus_factor"] > 0
-    # -(1/2) d ln|det J| = (0, 1/(3 lambda'_b), 0) = (0, 12.345679, 0)
-    expected = np.array([0.0, 1.0 / (3.0 * lamp[1]), 0.0])
-    assert np.max(np.abs(report["inhomogeneous_term"] - expected)) < 1e-5
+    base = map_fn(lamp)
+    domain = generalized.domain_for(base)
+    psi2, metric2 = geo.reparameterize(generalized.psi, generalized.metric,
+                                       map_fn, jac_fn)
+    beta_direct = geo.GeometryEngine(
+        psi2, metric2, domain,
+        in_domain=lambda lv: lv[0] > 0 and lv[2] - lv[1] ** (2.0 / 3.0) > 0,
+    ).berry_connection(lamp, (0,))
+    beta_base = geo.GeometryEngine(
+        generalized.psi, generalized.metric, domain, in_domain=generalized.in_domain,
+    ).berry_connection(base, (0,))
+    assert np.max(np.abs(beta_direct - jac_fn(lamp).T @ beta_base)) < 1e-6
 
 
 def test_reparameterize_singular_jacobian(anharmonic):
@@ -746,9 +750,14 @@ def test_broadcast_stack_with_a_non_positive_det_raises(anharmonic):
                           det=det, analytic_log_det_grad=log_det_grad, broadcasts=True)
     stack = np.array([[1.0, 1.2], [1.0, 1.1], [1.0, 1.0]])
     eng = geo.GeometryEngine(anharmonic.psi, metric, anharmonic.domain_for(stack[0]))
-    with pytest.raises(MetricPositivityError):
+    with pytest.raises(MetricPositivityError, match="not positive-definite") as info:
         eng.berry_connection_along(stack, (0,), np.array([0.0, 0.2]))
     assert shapes == {(2, 3, 1)}
+    # the error names the failing (last) point and a node where its det g <= 0
+    assert f"for parameters {stack[2]}" in str(info.value)
+    (x,) = info.value.location
+    assert f"x = {info.value.location}" in str(info.value)
+    assert (stack[2, 1] - 1.05) * anharmonic.metric.det(stack[2], np.array([x])) <= 0
 
 
 def _loop_with_counted_psi(model, loop, calls):
@@ -890,7 +899,7 @@ def test_one_family_pass_per_point(generalized, monkeypatch):
     assert calls["psi"] == calls["integrand"] <= eng.cfg.quad.max_levels + 1 < n_brackets
     before = dict(calls)
     eng.norm(lam, (1,))
-    eng.sigma_expectation(lam, (1,), 2)
+    eng.bracket_set(lam, (1,))
     eng.berry_connection(lam, (1,))
     assert calls == before
 

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 from curvedqgt import models
-from curvedqgt.core import EngineError, NoAnalyticReferenceError, ParameterBoundaryError
+from curvedqgt.core import NoAnalyticReferenceError, ParameterBoundaryError
 from curvedqgt.models import (
     coupled_ground_state,
     hermite,
@@ -48,22 +48,6 @@ def test_registry_names():
         models.get_model("no-such-model")
 
 
-def test_registration_normalization_enforced(anharmonic):
-    import dataclasses
-
-    from curvedqgt.core import WavefunctionFamily
-
-    broken = dataclasses.replace(
-        anharmonic,
-        psi=WavefunctionFamily(
-            dim=1,
-            eval=lambda lamv, n, x: 1.1 * anharmonic.psi.eval(lamv, n, x),
-        ),
-    )
-    with pytest.raises(EngineError, match="normalization"):
-        models._verify_normalization(broken)
-
-
 def test_hbar_scaling():
     m = models.get_model("anharmonic-1d", hbar=2.0)
     lam = np.array([1.0, 1.0])
@@ -79,14 +63,14 @@ def test_hbar_scaling():
 # ---------------------------------------------------------------------------
 
 def test_reference_anharmonic_qmt():
-    m = models.get_model("anharmonic-1d", verify=False)
+    m = models.get_model("anharmonic-1d")
     ref = models.analytic_reference(m, "qmt", 1, np.array([1.0, 2.0]))
     expected = 3.0 * np.array([[1 / 8, 1 / 16], [1 / 16, 1 / 32]])
     assert np.allclose(ref, expected)
 
 
 def test_reference_morse_components():
-    m = models.get_model("morse-like", verify=False)
+    m = models.get_model("morse-like")
     assert models.analytic_reference(m, "qmt_ww", 0, np.array([1.0, 2.0])) \
         == pytest.approx(1.0 / 32.0)
     val = models.analytic_reference(m, "qmt_ll", 0, np.array([1.0, 1.0]))
@@ -100,7 +84,7 @@ def test_reference_generalized_curvature_consistency():
     circulates with this model (see the curvature discussion in the
     registry docstring); the spot value is checked against d(beta).
     """
-    m = models.get_model("generalized-anharmonic", verify=False)
+    m = models.get_model("generalized-anharmonic")
     lam = np.array([1.0, 0.0, 1.0])
     ref = models.analytic_reference(m, "berry_curvature", 1, lam)
     expected = (3.0 / 8.0) * np.array([
@@ -123,12 +107,12 @@ def test_references_satisfy_tensor_invariants(anharmonic, generalized):
 
 
 def test_reference_unavailable_raises():
-    m = models.get_model("morse-like", verify=False)
+    m = models.get_model("morse-like")
     with pytest.raises(NoAnalyticReferenceError):
         models.analytic_reference(m, "qmt", 0, np.array([1.0, 1.0]))
     with pytest.raises(NoAnalyticReferenceError):
         models.analytic_reference(m, "energy", 1, np.array([1.0, 1.0]))
-    c = models.get_model("coupled-anharmonic-2d", verify=False)
+    c = models.get_model("coupled-anharmonic-2d")
     with pytest.raises(NoAnalyticReferenceError):
         models.analytic_reference(c, "qmt", (0, 0), np.array([1.0, 1.0, 1.0, 1.0]))
 
@@ -311,7 +295,7 @@ def test_morse_critical_omega_matches_closed_form():
 
 @pytest.mark.parametrize("hbar", [0.7, 1.0, 2.0])
 def test_morse_off_diagonal_matches_closed_form(hbar):
-    model = models.get_model("morse-like", hbar=hbar, verify=False)
+    model = models.get_model("morse-like", hbar=hbar)
     for lam in ((-0.8, 0.3), (0.05, 1.0), (0.5, 1.7), (1.0, 1.0), (1.3, 3.0),
                 (2.0, 0.6)):
         lamv = np.array(lam)

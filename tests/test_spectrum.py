@@ -77,7 +77,7 @@ def test_grid_covers_state_mass(anharmonic):
 
 
 def test_eigensolve_bounds():
-    flat = models.get_model("flat-oscillator-1d", verify=False)
+    flat = models.get_model("flat-oscillator-1d")
     grid = sp.make_grid(flat, np.array([1.0]), 600)
     dh = sp.build_hamiltonian(flat, grid)
     assert sp.eigensolve(dh, 0) == []
@@ -96,7 +96,7 @@ def test_eigensolve_bounds():
 ])
 def test_spectrum_raises_beyond_level_cap(name, lam, cap):
     """Asking for more levels than the passes solve raises, naming the cap."""
-    model = models.get_model(name, verify=False)
+    model = models.get_model(name)
     with pytest.raises(ValueError, match=f"0 to {cap} levels; asked for {cap + 1}"):
         sp.model_spectrum(model, np.array(lam), cap + 1)
     with pytest.raises(ValueError, match=f"0 to {cap} levels"):
@@ -113,7 +113,7 @@ _SPECTRAL_POINTS = [
 def test_split_passes_match_full_merge(name, lam):
     """Interlacing: k levels take ceil(k/2) Neumann and floor(k/2) Dirichlet
     levels, the same as merging both passes solved to 10 levels each."""
-    model = models.get_model(name, verify=False)
+    model = models.get_model(name)
     lamv = np.array(lam)
     for k in range(1, 21):
         grid = sp.make_grid(model, lamv, 400, n_max=2 * k + 3)
@@ -133,7 +133,7 @@ def test_split_passes_match_full_merge(name, lam):
 def test_seeded_polish_matches_bisection(name, lam, monkeypatch):
     """At 40,000 points each pass is polished from a 2,500-point solve; its
     levels match bisection on the same matrix, with no larger residuals."""
-    model = models.get_model(name, verify=False)
+    model = models.get_model(name)
     lamv = np.array(lam)
     grid = sp.make_grid(model, lamv, 40000, n_max=23)
     boundaries = model.spectral.left_boundaries
