@@ -14,10 +14,11 @@ failure.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+import warnings
 
 import click
 import numpy as np
@@ -33,6 +34,8 @@ from .quadrature import QuadratureConfig
 _PARAM_FLAGS = ("lambda", "omega", "k1", "k2", "a", "b", "c")
 _QUANTITIES = ("qmt", "qgt", "berry_curvature", "berry_connection", "det",
                "fidelity_chi")
+# most grid points a sweep integrates as one Gram stack
+SWEEP_BATCH = 16
 
 
 def _fmt(x: float) -> str:
@@ -124,7 +127,17 @@ model_options = _options(
     click.option("--hbar", type=float, default=1.0, show_default=True),
     _param_options(_PARAM_FLAGS),
 )
-_positive = click.FloatRange(min=0.0, min_open=True)
+
+
+class _Positive(click.FloatRange):
+    """``FloatRange(x > 0)`` that refuses NaN as well."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        return rv if rv > 0 else self.fail(f"{rv} is not in the range x>0.", param, ctx)
+
+
+_positive = _Positive(min=0.0, min_open=True)
 engine_options = _options(
     click.option("--quad-rel-tol", type=_positive, default=1e-10, show_default=True),
     click.option("--fd-step", type=_positive, default=1e-4, show_default=True),
@@ -221,50 +234,56 @@ def _parse_quantities(text, model, default=("qmt", "berry_curvature",
 # Records and serialization
 # ---------------------------------------------------------------------------
 
-def _point_record(model, lamv, n, quantities, cfg):
-    if not model.check_in_domain(lamv):
-        raise EngineError(
-            f"parameters {dict(zip(model.parameter_names, map(float, lamv)))} "
-            f"lie outside the domain of {model.name}"
-        )
+def _point_records(model, points, n, quantities, cfg):
+    """Records at parameter points that share one ``model.domain_for``: one
+    Gram stack for several points, the single-point path for one."""
+    for lamv in points:
+        if not model.check_in_domain(lamv):
+            raise EngineError(
+                f"parameters {dict(zip(model.parameter_names, map(float, lamv)))} "
+                f"lie outside the domain of {model.name}"
+            )
     engine = geo.GeometryEngine(
-        model.psi, model.metric, model.domain_for(lamv), cfg,
+        model.psi, model.metric, model.domain_for(points[0]), cfg,
         in_domain=model.in_domain,
     )
-    tensors = engine.qgt(lamv, n)
-    rec = {"params": dict(zip(model.parameter_names, map(float, lamv))),
-           "n": list(n),
-           "config": {"hbar": model.hbar, "quad_rel_tol": cfg.quad.rel_tol,
-                      "quad_abs_tol": cfg.quad.abs_tol,
-                      "fd_step": cfg.fd.base_step, "fd_scheme": cfg.fd.scheme}}
-    diag = {"quad_error": tensors.quad_error,
-            "fd_steps": [float(s) for s in tensors.fd_steps]}
-    for q in quantities:
-        if q == "qmt":
-            rec["qmt"] = tensors.qmt.tolist()
-        elif q == "qgt":
-            rec["qgt"] = {"re": tensors.qgt.real.tolist(),
-                          "im": tensors.qgt.imag.tolist()}
-        elif q == "berry_curvature":
-            rec["berry_curvature"] = tensors.berry_curvature.tolist()
-        elif q == "berry_connection":
-            rec["berry_connection"] = tensors.berry_connection.tolist()
-        elif q == "det":
-            rec["det"] = float(np.linalg.det(tensors.qmt))
-        elif q.startswith("subdet:"):
-            pname = q.split(":", 1)[1]
-            idx = [i for i, nm in enumerate(model.parameter_names) if nm != pname]
-            rec[f"subdet_{pname}"] = float(
-                np.linalg.det(tensors.qmt[np.ix_(idx, idx)])
-            )
-        elif q == "fidelity_chi":
-            chi = fid.fidelity_susceptibility(
-                model.psi, model.metric, model.domain_for(lamv), lamv, n,
-                cfg, in_domain=model.in_domain,
-            )
-            rec["fidelity_chi"] = chi.tolist()
-    rec["diag"] = diag
-    return rec
+    stack = engine.qgt(np.array(points), n) if len(points) > 1 else [engine.qgt(points[0], n)]
+    records = []
+    for lamv, tensors in zip(points, stack):
+        rec = {"params": dict(zip(model.parameter_names, map(float, lamv))),
+               "n": list(n),
+               "config": {"hbar": model.hbar, "quad_rel_tol": cfg.quad.rel_tol,
+                          "quad_abs_tol": cfg.quad.abs_tol,
+                          "fd_step": cfg.fd.base_step, "fd_scheme": cfg.fd.scheme}}
+        diag = {"quad_error": tensors.quad_error,
+                "fd_steps": [float(s) for s in tensors.fd_steps]}
+        for q in quantities:
+            if q == "qmt":
+                rec["qmt"] = tensors.qmt.tolist()
+            elif q == "qgt":
+                rec["qgt"] = {"re": tensors.qgt.real.tolist(),
+                              "im": tensors.qgt.imag.tolist()}
+            elif q == "berry_curvature":
+                rec["berry_curvature"] = tensors.berry_curvature.tolist()
+            elif q == "berry_connection":
+                rec["berry_connection"] = tensors.berry_connection.tolist()
+            elif q == "det":
+                rec["det"] = float(np.linalg.det(tensors.qmt))
+            elif q.startswith("subdet:"):
+                pname = q.split(":", 1)[1]
+                idx = [i for i, nm in enumerate(model.parameter_names) if nm != pname]
+                rec[f"subdet_{pname}"] = float(
+                    np.linalg.det(tensors.qmt[np.ix_(idx, idx)])
+                )
+            elif q == "fidelity_chi":
+                chi = fid.fidelity_susceptibility(
+                    model.psi, model.metric, model.domain_for(lamv), lamv, n,
+                    cfg, in_domain=model.in_domain,
+                )
+                rec["fidelity_chi"] = chi.tolist()
+        rec["diag"] = diag
+        records.append(rec)
+    return records
 
 
 def _csv_fields(model, quantities, rec=None):
@@ -325,29 +344,31 @@ def _csv_row(model, quantities, rec):
 # Sweep machinery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _SweepTask:
-    model_name: str
-    hbar: float
-    lam_values: tuple
-    n: tuple
-    quantities: tuple
-    quad_rel_tol: float
-    fd_step: float
-    index: int
-
-
-def _run_sweep_task(task: _SweepTask):
-    model = mdl.get_model(task.model_name, hbar=task.hbar)
-    cfg = _engine_config(task.quad_rel_tol, task.fd_step)
-    lamv = np.array(task.lam_values)
-    try:
-        rec = _point_record(model, lamv, task.n, list(task.quantities), cfg)
-    except Exception as exc:  # per-point failure becomes an error column
-        rec = {"params": dict(zip(model.parameter_names, task.lam_values)),
-               "n": list(task.n), "error": f"{type(exc).__name__}: {exc}",
-               "diag": {"quad_error": math.nan, "fd_steps": []}}
-    return task.index, rec
+def _run_sweep_batch(points, model_name, hbar, n, quantities, cfg):
+    """Records of one batch of grid points: one Gram stack or, if that
+    raises, one point at a time, so that only a failing point gets an error
+    row.  The stack's warnings are replayed only if it succeeds."""
+    model = mdl.get_model(model_name, hbar=hbar)
+    if len(points) > 1:
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                records = _point_records(model, points, n, quantities, cfg)
+            for w in caught:  # a warning filtered into an error fails the batch too
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+            return records
+        except Exception:  # the points one at a time, below
+            pass
+    records = []
+    for lam_values in points:
+        try:
+            rec, = _point_records(model, [lam_values], n, quantities, cfg)
+        except Exception as exc:  # per-point failure becomes an error column
+            rec = {"params": dict(zip(model.parameter_names, lam_values)),
+                   "n": list(n), "error": f"{type(exc).__name__}: {exc}",
+                   "diag": {"quad_error": math.nan, "fd_steps": []}}
+        records.append(rec)
+    return records
 
 
 def _parse_grid(specs):
@@ -362,6 +383,9 @@ def _parse_grid(specs):
             raise click.UsageError(
                 f"bad --grid '{item}'; expected name=min:max:count[:scale]"
             )
+        name = name.strip()
+        if name in grids:
+            raise click.UsageError(f"--grid names '{name}' more than once")
         if count < 1:
             raise click.UsageError("grid count must be at least 1")
         if scale not in ("linear", "log"):
@@ -376,7 +400,7 @@ def _parse_grid(specs):
             values = np.geomspace(lo, hi, count)
         else:
             values = np.linspace(lo, hi, count)
-        grids[name.strip()] = values
+        grids[name] = values
     return grids
 
 
@@ -409,7 +433,7 @@ def cmd_compute(model_name, hbar, quad_rel_tol, fd_step, fmt, out,
     cfg = _engine_config(quad_rel_tol, fd_step)
 
     try:
-        rec = _point_record(model, lamv, n, quantities, cfg)
+        rec, = _point_records(model, [lamv], n, quantities, cfg)
     except EngineError as exc:
         _fail(3, type(exc).__name__, str(exc))
     if (fmt or "jsonl") == "jsonl":
@@ -422,7 +446,7 @@ def cmd_compute(model_name, hbar, quad_rel_tol, fd_step, fmt, out,
 @main.command("sweep")
 @model_options
 @engine_options
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @format_option
 @io_options
 @click.option("--grid", "grid_specs", multiple=True,
@@ -441,40 +465,45 @@ def cmd_sweep(model_name, hbar, quad_rel_tol, fd_step, jobs, fmt, out,
                                    f"{model.parameter_names}")
     fixed = _fixed_params(model, param_flags, swept=grids)
     n = _parse_n(model, n_str)
-    quantities = tuple(_parse_quantities(quantities_str, model))
+    quantities = _parse_quantities(quantities_str, model)
 
     swept = [nm for nm in model.parameter_names if nm in grids]
     shape = tuple(grids[nm].size for nm in swept)
-    tasks = []
-    for flat_idx, multi in enumerate(np.ndindex(*shape) if shape else [()]):
+    # consecutive points in one domain object form a batch, one Gram stack;
+    # batches do not depend on --jobs, so neither do the rows
+    stacks = model.psi.broadcasts and model.metric.broadcasts
+    batches, last = [], False
+    for multi in np.ndindex(*shape) if shape else [()]:
         values = dict(fixed)
         for nm, i in zip(swept, multi):
             values[nm] = float(grids[nm][i])
         lam_values = tuple(values[nm] for nm in model.parameter_names)
-        tasks.append(_SweepTask(model.name, hbar, lam_values, n, quantities,
-                                quad_rel_tol, fd_step, flat_idx))
-
-    results = [None] * len(tasks)
-    if jobs > 1 and len(tasks) > 1:
+        domain = stacks and model.check_in_domain(lam_values) and model.domain_for(lam_values)
+        if domain and domain is last and len(batches[-1]) < SWEEP_BATCH:
+            batches[-1].append(lam_values)
+        else:
+            batches.append([lam_values])
+        last = domain
+    run = functools.partial(_run_sweep_batch, model_name=model.name, hbar=hbar, n=n,
+                            quantities=quantities, cfg=_engine_config(quad_rel_tol, fd_step))
+    if jobs > 1 and len(batches) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # the pool starts every worker at the first submit, so ask for no
-        # more workers than there are points
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for idx, rec in pool.map(_run_sweep_task, tasks, chunksize=4):
-                results[idx] = rec
+        # more workers than there are batches
+        with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
+            done = list(pool.map(run, batches))
     else:
-        for task in tasks:
-            idx, rec = _run_sweep_task(task)
-            results[idx] = rec
+        done = map(run, batches)
+    results = [rec for records in done for rec in records]
 
     failures = sum(1 for r in results if r.get("error"))
     if fmt == "jsonl":
         lines = [json.dumps(r, sort_keys=True) for r in results]
     else:
-        header = _csv_header(model, list(quantities))
+        header = _csv_header(model, quantities)
         lines = [",".join(header)]
-        lines += [",".join(_csv_row(model, list(quantities), r)) for r in results]
+        lines += [",".join(_csv_row(model, quantities, r)) for r in results]
     _emit(lines, out)
     sys.stderr.write(f"sweep: {len(results)} points, {failures} failures\n")
 
@@ -486,7 +515,7 @@ def cmd_sweep(model_name, hbar, quad_rel_tol, fd_step, jobs, fmt, out,
 @click.option("--n", "n_str", default=None, help="quantum number")
 @click.option("--samples", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--route-tol", type=float, default=1e-4, show_default=True)
+@click.option("--route-tol", type=_positive, default=1e-4, show_default=True)
 @click.option("--mis-normalize", type=float, default=1.0, hidden=True)
 def cmd_validate(model_name, hbar, quad_rel_tol, fd_step, out,
                  n_str, samples, seed, route_tol, mis_normalize, **param_flags):
@@ -539,7 +568,7 @@ def cmd_validate(model_name, hbar, quad_rel_tol, fd_step, out,
 @model_options
 @format_option
 @io_options
-@click.option("--k", type=int, default=4, show_default=True,
+@click.option("--k", type=click.IntRange(min=1), default=4, show_default=True,
               help="number of levels")
 @click.option("--grid-size", type=int, default=2000, show_default=True)
 def cmd_spectrum(model_name, hbar, fmt, out, k, grid_size, **param_flags):

@@ -28,10 +28,11 @@ three-column Gram of [psi, d_delta psi, sigma_delta psi], with
 d_delta = sum_r delta_r d_r taken over the nonzero delta_r only.  A
 bracket also takes a stack of points and integrates all their Grams in
 one pass over shared nodes; a loop hands it the points of one
-Gauss-Kronrod panel at a time.  When the state and the metric both
-broadcast over points (their ``broadcasts`` flag) and differentiate
-analytically, each integrand call samples the whole stack in one family
-call per column; any other family is sampled point by point.
+Gauss-Kronrod panel at a time, and a sweep a batch of grid points.
+When the state and the metric both broadcast over points (their
+``broadcasts`` flag) and differentiate analytically, each integrand call
+samples the whole stack in one family call per column; any other family
+is sampled point by point.
 Conventions:
 
     qmt              = Re(qgt)                  (symmetric)
@@ -240,16 +241,18 @@ class GeometryEngine:
     # -- bracket families ---------------------------------------------------
 
     def bracket_set(self, lam, n):
-        """All brackets entering the tensors at one parameter point.
+        """All brackets entering the tensors at one parameter point ``(m,)``,
+        or at each point of a stack ``(P, m)`` under a leading P axis.
 
         They are read-only blocks of one cached Gram matrix of the columns
         [psi, d_1 psi .. d_m psi, sigma_1 psi .. sigma_m psi], integrated on
-        shared nodes.  ``gram_err`` holds the error of each Gram entry and
-        ``err`` their sum.
+        shared nodes; a stack is one bracket call.  ``gram_err`` holds the
+        error of each Gram entry and ``err`` their sum; ``norm`` and ``err``
+        are floats for one point and arrays ``(P,)`` for a stack.
         """
-        lamv = param_values(lam)
+        lamv = param_values(lam) if np.ndim(lam) < 2 else np.asarray(lam, dtype=float)
         n = as_quantum_number(n)
-        m = lamv.size
+        m = lamv.shape[-1]
 
         def columns(p, *axes):
             psi, dpsi, sigma = self._sample(p, n, axes, range(m))
@@ -257,10 +260,12 @@ class GeometryEngine:
 
         gram, err = self.bracket("family", lamv, n, columns)
         d, s = slice(1, m + 1), slice(m + 1, 2 * m + 1)
-        steps = np.array([self.cfg.fd.step(v) for v in lamv])
-        return {"A": gram[d, d], "B": gram[s, d], "S": gram[s, s].real,
-                "c": gram[0, d], "s": gram[0, s].real, "norm": float(gram[0, 0].real),
-                "err": float(err.sum()), "gram_err": err, "fd_steps": steps}
+        steps = np.array([self.cfg.fd.step(v) for v in lamv.ravel()]).reshape(lamv.shape)
+        out = float if lamv.ndim == 1 else np.asarray
+        return {"A": gram[..., d, d], "B": gram[..., s, d], "S": gram[..., s, s].real,
+                "c": gram[..., 0, d], "s": gram[..., 0, s].real,
+                "norm": out(gram[..., 0, 0].real), "err": out(err.sum(axis=(-2, -1))),
+                "gram_err": err, "fd_steps": steps}
 
     # -- assembled quantities ------------------------------------------------
 
@@ -317,33 +322,37 @@ class GeometryEngine:
     def berry_curvature(self, lam, n):
         return self.qgt(lam, n).berry_curvature
 
-    def qgt(self, lam, n) -> GeometricTensors:
+    def qgt(self, lam, n):
+        """The tensors at one point ``(m,)``, a :class:`GeometricTensors`, or
+        at each point of a stack ``(P, m)``, a list of them from one bracket
+        call; every point passes the Hermiticity gate."""
         br = self.bracket_set(lam, n)
         A, B, S, c, s = br["A"], br["B"], br["S"], br["c"], br["s"]
-        cbar = np.conj(c)
+        c_col, c_row = np.conj(c)[..., None], c[..., None, :]
+        s_col, s_row = s[..., None], s[..., None, :]
         g = (
             A
-            - np.outer(cbar, c)
-            - 0.25 * (B + np.conj(B.T))
-            + 0.25 * (np.outer(s, c) + np.outer(cbar, s))
-            + (S - np.outer(s, s)) / 16.0
+            - c_col * c_row
+            - 0.25 * (B + np.conj(np.swapaxes(B, -1, -2)))
+            + 0.25 * (s_col * c_row + c_col * s_row)
+            + (S - s_col * s_row) / 16.0
         )
-        residue = float(np.max(np.abs(g - g.conj().T)))
+        gh = np.conj(np.swapaxes(g, -1, -2))
+        residue = float(np.max(np.abs(g - gh)))
         if residue > HERMITICITY_GATE:
             raise EngineError(
                 f"QGT Hermiticity residue {residue:.3e} exceeds "
                 f"{HERMITICITY_GATE:.1e}; the assembled brackets "
                 "are inconsistent"
             )
-        g = 0.5 * (g + g.conj().T)
-        return GeometricTensors(
-            qgt=g,
-            qmt=g.real.copy(),
-            berry_curvature=2.0 * g.imag,
-            berry_connection=_connection(c, s).real,
-            quad_error=br["err"],
-            fd_steps=br["fd_steps"],
-        )
+        g, m = 0.5 * (g + gh), c.shape[-1]
+        tensors = [
+            GeometricTensors(qgt=gp, qmt=gp.real.copy(), berry_curvature=2.0 * gp.imag,
+                             berry_connection=bp, quad_error=float(ep), fd_steps=hp)
+            for gp, bp, ep, hp in zip(g.reshape(-1, m, m), _connection(c, s).real.reshape(-1, m),
+                                      np.reshape(br["err"], -1), br["fd_steps"].reshape(-1, m))
+        ]
+        return tensors[0] if np.ndim(br["err"]) == 0 else tensors
 
     def qgt_projector_oracle(self, lam, n):
         """QGT via <v_r|P|v_k> with v_r = d_r psi - sigma_r psi / 4.

@@ -26,6 +26,7 @@ against loop integrals of beta); see the registry docstring of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -405,8 +406,9 @@ def morse_like(hbar: float = 1.0) -> ModelSpec:
         broadcasts=True,
     )
 
-    def domain_factory(lamv):
-        lam = lamv[0]
+    # one Domain per lambda, so that the points of an omega sweep share it
+    @functools.lru_cache(maxsize=64)
+    def lam_domain(lam):
         tr = AxisTransform(
             fwd=lambda x: np.exp(-0.5 * lam * np.asarray(x, dtype=float)),
             inv=lambda u: -(2.0 / lam) * np.log(u),
@@ -445,7 +447,7 @@ def morse_like(hbar: float = 1.0) -> ModelSpec:
         metric=metric,
         psi=psi,
         potential=lambda lamv, x: 0.5 * lamv[1] ** 2 * np.exp(-lamv[0] * np.asarray(x)),
-        domain_factory=domain_factory,
+        domain_factory=lambda lamv: lam_domain(float(lamv[0])),
         in_domain=lambda lamv: lamv[0] != 0 and lamv[1] > 0,
         sample_window={"lambda": (0.4, 2.5), "omega": (0.4, 2.5)},
         analytic_refs=refs,

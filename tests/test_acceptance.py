@@ -14,14 +14,12 @@ Im(QGT) against it and F against twice it.
 import math
 
 import numpy as np
-import pytest
 from scipy import integrate as scipy_integrate
 
 from curvedqgt import fidelity as fid
 from curvedqgt import geometry as geo
 from curvedqgt import models
 from curvedqgt import spectrum as sp
-from curvedqgt.fidelity import SusceptibilityConfig
 
 from conftest import make_engine
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,14 +166,16 @@ def test_sweep_log_grid_through_zero_exits_2(runner, grid):
 
 
 def test_sweep_deterministic_across_jobs(runner, tmp_path):
+    # 40 points form 3 batches (16, 16, 8), which the pool maps in any order
     args = ["sweep", "--model", "anharmonic-1d", "--lambda", "1",
-            "--grid", "omega=0.5:2:6", "--n", "1", "--quantities", "qmt,det"]
-    out1 = tmp_path / "serial.csv"
-    out2 = tmp_path / "parallel.csv"
-    r1 = _invoke(runner, args + ["--jobs", "1", "--out", str(out1)])
-    r2 = _invoke(runner, args + ["--jobs", "3", "--out", str(out2)])
-    assert r1.exit_code == 0 and r2.exit_code == 0
-    assert out1.read_bytes() == out2.read_bytes()
+            "--grid", "omega=0.5:2:40", "--n", "1", "--quantities", "qmt,qgt,det"]
+    outputs = []
+    for jobs in ("1", "2", "4"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert _invoke(runner, args + ["--jobs", jobs, "--out", str(out)]).exit_code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].count(b"\n") == 41
 
 
 def test_sweep_pool_bounded_by_points(runner, tmp_path, monkeypatch):
@@ -186,8 +189,9 @@ def test_sweep_pool_bounded_by_points(runner, tmp_path, monkeypatch):
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # 40 points sharing one domain form 3 batches (16, 16, 8)
     args = ["sweep", "--model", "anharmonic-1d", "--lambda", "1",
-            "--grid", "omega=0.5:2:3", "--quantities", "qmt"]
+            "--grid", "omega=0.5:2:40", "--quantities", "qmt"]
     out1 = tmp_path / "serial.csv"
     out8 = tmp_path / "parallel.csv"
     _invoke(runner, args + ["--jobs", "1", "--out", str(out1)])
@@ -195,6 +199,10 @@ def test_sweep_pool_bounded_by_points(runner, tmp_path, monkeypatch):
     _invoke(runner, args + ["--jobs", "8", "--out", str(out8)])
     assert asked == [3]
     assert out1.read_bytes() == out8.read_bytes()
+    # a sweep that is one batch runs in-process
+    _invoke(runner, ["sweep", "--model", "anharmonic-1d", "--lambda", "1",
+                     "--grid", "omega=0.5:2:16", "--quantities", "qmt", "--jobs", "8"])
+    assert asked == [3]
 
 
 def test_sweep_records_per_point_failures(runner):
@@ -207,6 +215,141 @@ def test_sweep_records_per_point_failures(runner):
     recs = [json.loads(line) for line in result.stdout.strip().splitlines()]
     assert any(r.get("error") for r in recs)
     assert any(not r.get("error") for r in recs)
+
+
+def _sweep_records(runner, args):
+    result = _invoke(runner, ["sweep", *args, "--format", "jsonl"])
+    assert result.exit_code == 0
+    return [json.loads(line) for line in result.stdout.strip().splitlines()]
+
+
+def _compute_record(runner, model, params, n, quantities):
+    flags = [arg for name, v in params.items() for arg in (f"--{name}", repr(v))]
+    result = _invoke(runner, ["compute", "--model", model, *flags, "--n", n,
+                              "--quantities", quantities])
+    assert result.exit_code == 0
+    return json.loads(result.stdout)
+
+
+def _tensor_entries(rec):
+    return np.concatenate([np.ravel(rec["qgt"]["re"]), np.ravel(rec["qgt"]["im"]),
+                           rec["berry_connection"]])
+
+
+@pytest.mark.parametrize("model,fixed,grid,n", [
+    ("anharmonic-1d", ["--omega", "1"], "lambda=0.5:1.8:16", "1"),
+    ("morse-like", ["--lambda", "1"], "omega=0.6:1.7:16", "0"),
+    ("generalized-anharmonic", ["--lambda", "1", "--b", "0.2"], "c=0.8:1.6:16", "1"),
+    ("flat-oscillator-1d", [], "omega=0.5:1.8:16", "2"),
+])
+def test_sweep_batch_rows_match_compute(runner, model, fixed, grid, n):
+    """A batch is one Gram stack; each of its rows equals compute at that point
+    to rounding, and its error stays within compute's.  A stack may stop a
+    DE level deeper than a point alone, so its error can be far smaller;
+    where both stop at the same level the two estimates differ by rounding
+    (up to 6e-16 seen), hence the 1e-14 allowance."""
+    quantities = "qgt,berry_connection"
+    for rec in _sweep_records(runner, ["--model", model, *fixed, "--grid", grid,
+                                       "--n", n, "--quantities", quantities]):
+        solo = _compute_record(runner, model, rec["params"], n, quantities)
+        ref = _tensor_entries(solo)
+        assert np.max(np.abs(_tensor_entries(rec) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert rec["diag"]["quad_error"] <= max(solo["diag"]["quad_error"], 1e-14) + 1e-14
+
+
+def test_sweep_failing_points_leave_their_batch_intact(runner, monkeypatch):
+    """An out-of-domain point splits a batch, and a batch with a raising point
+    falls back to its points one at a time: only the failing rows carry
+    errors, the fallback rows equal compute bit for bit, and no warning of
+    the abandoned stack is emitted a second time.
+
+    The family is scaled by 1.001, so every Gram warns that it is not
+    normalized.  The planted point raises whenever it is evaluated alone; in
+    its batch that is its fidelity overlap, after the stack has warned."""
+    import dataclasses
+
+    import curvedqgt.models as mdl
+    from curvedqgt.core import EngineError
+
+    real_get_model = mdl.get_model
+    base = real_get_model("anharmonic-1d")
+
+    def psi_eval(lamv, n, x):
+        if np.ndim(lamv[0]) == 0 and np.allclose(lamv, [0.5, 0.75]):
+            raise EngineError("planted failure")
+        return 1.001 * base.psi.eval(lamv, n, x)
+
+    def psi_grad(lamv, n, rho, x):
+        return 1.001 * base.psi.analytic_param_grad(lamv, n, rho, x)
+
+    planted = dataclasses.replace(base, psi=dataclasses.replace(
+        base.psi, eval=psi_eval, analytic_param_grad=psi_grad))
+
+    def get_model(name, hbar=1.0):
+        return planted if name == "anharmonic-1d" else real_get_model(name, hbar)
+
+    monkeypatch.setattr(mdl, "get_model", get_model)
+    # omega <= 0 lies outside the domain: rows 0-1 and 8-9 of the 16
+    quantities = "qgt,berry_connection,fidelity_chi"
+    args = ["--model", "anharmonic-1d", "--grid", "lambda=0.5:1:2",
+            "--grid", "omega=-0.25:1.5:8", "--quantities", quantities]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        recs = _sweep_records(runner, args)
+    messages = [str(w.message) for w in caught if w.category is NormalizationWarning]
+    assert len(messages) == len(set(messages)) == 11  # 12 points, 1 raising
+
+    errors = [i for i, rec in enumerate(recs) if rec.get("error")]
+    assert errors == [0, 1, 4, 8, 9]
+    assert "planted failure" in recs[4]["error"]
+    assert all("outside the domain" in recs[i]["error"] for i in (0, 1, 8, 9))
+    for i, rec in enumerate(recs):
+        if rec.get("error"):
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NormalizationWarning)
+            solo = _compute_record(runner, "anharmonic-1d", rec["params"], "0", quantities)
+        if i < 8:  # the fallback batch: the single-point path itself
+            assert rec == solo
+        else:
+            ref = _tensor_entries(solo)
+            assert np.max(np.abs(_tensor_entries(rec) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("args,shapes", [
+    # Morse domains depend on lambda only, so an omega sweep shares one
+    (["--model", "morse-like", "--lambda", "1", "--grid", "omega=0.6:1.7:20"],
+     [(16, 2), (4, 2)]),
+    # ... and a lambda sweep does not
+    (["--model", "morse-like", "--omega", "1", "--grid", "lambda=0.6:1.7:2"],
+     [(2,), (2,)]),
+    # the coupled 2-D families do not broadcast over points
+    (["--model", "coupled-anharmonic-2d", "--k1", "1", "--a", "1", "--b", "1",
+      "--grid", "k2=0.1:0.3:2"], [(4,), (4,)]),
+])
+def test_sweep_bracket_call_per_batch(runner, monkeypatch, args, shapes):
+    from curvedqgt.geometry import GeometryEngine
+
+    seen = []
+    real_bracket = GeometryEngine.bracket
+
+    def bracket(self, name, lamv, n, columns):
+        seen.append(lamv.shape)
+        return real_bracket(self, name, lamv, n, columns)
+
+    monkeypatch.setattr(GeometryEngine, "bracket", bracket)
+    recs = _sweep_records(runner, [*args, "--quantities", "qmt"])
+    assert seen == shapes
+    assert not any(rec.get("error") for rec in recs)
+
+
+def test_sweep_repeated_grid_parameter_exits_2(runner):
+    result = runner.invoke(main, ["sweep", *ANHARMONIC, "--grid", "omega=1:2:2",
+                                  "--grid", "omega=1:3:2"])
+    assert result.exit_code == 2
+    assert "more than once" in result.output
+    # a parameter flag next to a grid of that parameter stays allowed
+    assert _invoke(runner, ["sweep", *ANHARMONIC, "--grid", "omega=1:2:2"]).exit_code == 0
 
 
 def test_hbar_flag_reaches_the_model(runner):
@@ -376,21 +519,17 @@ def test_spectrum_command(runner):
     assert np.max(np.abs(np.array(energies) - np.array([0.5, 1.5, 2.5, 3.5]))) < 1e-4
 
 
-def test_spectrum_zero_levels(runner):
-    result = _invoke(runner, [
-        "spectrum", "--model", "anharmonic-1d", "--lambda", "1", "--omega", "1",
-        "--k", "0",
-    ])
-    assert result.exit_code == 0
-    rows = list(csv.DictReader(io.StringIO(result.stdout)))
-    assert rows == []
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_spectrum_fewer_than_one_level_exits_2(runner, k):
+    result = runner.invoke(main, ["spectrum", *ANHARMONIC, "--k", k])
+    assert result.exit_code == 2
+    assert "x>=1" in result.output
 
 
 @pytest.mark.parametrize("model,params,k,cap", [
     ("flat-oscillator-1d", ["--omega", "1"], "11", 10),
     ("morse-like", ["--lambda", "1", "--omega", "1"], "12", 10),
     ("anharmonic-1d", ["--lambda", "1", "--omega", "1"], "21", 20),
-    ("anharmonic-1d", ["--lambda", "1", "--omega", "1"], "-1", 20),
 ])
 def test_spectrum_beyond_level_cap_exits_2(runner, model, params, k, cap):
     result = runner.invoke(main, ["spectrum", "--model", model, *params, "--k", k])
@@ -471,6 +610,11 @@ _BAD_NUMERIC_OPTIONS = [
     ["phase-portrait", "--samples", "-1"],
     ["spectrum", *ANHARMONIC, "--grid-size", "0"],
     ["spectrum", *ANHARMONIC, "--grid-size", "3", "--k", "4"],
+    ["compute", *ANHARMONIC, "--quad-rel-tol", "nan"],
+    ["sweep", *ANHARMONIC, "--grid", "omega=1:2:2", "--jobs", "0"],
+    ["sweep", *ANHARMONIC, "--grid", "omega=1:2:2", "--jobs", "-3"],
+    ["validate", *ANHARMONIC, "--route-tol", "-1"],
+    ["validate", *ANHARMONIC, "--route-tol", "nan"],
 ]
 
 

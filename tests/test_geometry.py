@@ -731,6 +731,29 @@ def test_broadcast_stack_matches_per_point_stack(name, stack, n):
     assert np.max(np.abs(fast - slow)) <= 1e-15 * np.max(np.abs(slow))
 
 
+@pytest.mark.parametrize("name,stack,n", _BROADCAST_STACKS)
+def test_qgt_of_a_stack_matches_each_point(name, stack, n):
+    """qgt and bracket_set take a stack (P, m): qgt returns one set of
+    tensors per point, equal to that point's own to rounding, while a single
+    point keeps its types (float norm, err and quad_error)."""
+    model = models.get_model(name)
+    stack = np.array(stack)
+    eng = make_engine(model, stack[0])
+    stacked = eng.qgt(stack, (n,))
+    assert len(stacked) == len(stack)
+    for p, tensors in zip(stack, stacked):
+        solo = eng.qgt(p, (n,))
+        scale = np.max(np.abs(solo.qgt))
+        assert np.max(np.abs(tensors.qgt - solo.qgt)) <= 1e-13 * scale
+        assert np.max(np.abs(tensors.berry_connection - solo.berry_connection)) <= 1e-13 * scale
+        assert tensors.quad_error <= solo.quad_error + 1e-14
+        assert np.array_equal(tensors.fd_steps, solo.fd_steps)
+    assert type(solo.quad_error) is float
+    one, many = eng.bracket_set(stack[0], (n,)), eng.bracket_set(stack, (n,))
+    assert type(one["norm"]) is float and type(one["err"]) is float
+    assert many["norm"].shape == many["err"].shape == (len(stack),)
+
+
 def test_broadcast_stack_with_a_non_positive_det_raises(anharmonic):
     """det g = 4 lam x^2 (omega - 1.05) is negative at the last point of the
     stack: the broadcast path raises instead of integrating a NaN."""
