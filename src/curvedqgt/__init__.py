@@ -7,7 +7,6 @@ from .core import (
     EngineError,
     GeometricTensors,
     MetricFamily,
-    ParameterPoint,
     WavefunctionFamily,
     validate,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "GeometricTensors",
     "GeometryEngine",
     "MetricFamily",
-    "ParameterPoint",
     "QuadratureConfig",
     "WavefunctionFamily",
     "available_models",

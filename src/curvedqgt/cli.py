@@ -112,6 +112,15 @@ def _param_options(names):
                       for name in names))
 
 
+class _Positive(click.FloatRange):
+    """``FloatRange(x > 0)`` that refuses NaN as well."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        return rv if rv > 0 else self.fail(f"{rv} is not in the range x>0.", param, ctx)
+
+
+_positive = _Positive(min=0.0, min_open=True)
 # every command writes output and reads --config; the other groups go only
 # to the commands that read them, so click rejects the rest
 io_options = _options(
@@ -124,20 +133,9 @@ format_option = click.option("--format", "fmt", type=click.Choice(["csv", "jsonl
                              default=None)
 model_options = _options(
     click.option("--model", "model_name", default=None, help="registered model name"),
-    click.option("--hbar", type=float, default=1.0, show_default=True),
+    click.option("--hbar", type=_positive, default=1.0, show_default=True),
     _param_options(_PARAM_FLAGS),
 )
-
-
-class _Positive(click.FloatRange):
-    """``FloatRange(x > 0)`` that refuses NaN as well."""
-
-    def convert(self, value, param, ctx):
-        rv = super().convert(value, param, ctx)
-        return rv if rv > 0 else self.fail(f"{rv} is not in the range x>0.", param, ctx)
-
-
-_positive = _Positive(min=0.0, min_open=True)
 engine_options = _options(
     click.option("--quad-rel-tol", type=_positive, default=1e-10, show_default=True),
     click.option("--fd-step", type=_positive, default=1e-4, show_default=True),
@@ -366,7 +364,7 @@ def _run_sweep_batch(points, model_name, hbar, n, quantities, cfg):
         except Exception as exc:  # per-point failure becomes an error column
             rec = {"params": dict(zip(model.parameter_names, lam_values)),
                    "n": list(n), "error": f"{type(exc).__name__}: {exc}",
-                   "diag": {"quad_error": math.nan, "fd_steps": []}}
+                   "diag": {"quad_error": None, "fd_steps": []}}
         records.append(rec)
     return records
 
@@ -514,28 +512,14 @@ def cmd_sweep(model_name, hbar, quad_rel_tol, fd_step, jobs, fmt, out,
 @io_options
 @click.option("--n", "n_str", default=None, help="quantum number")
 @click.option("--samples", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--seed", type=int, default=7, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
 @click.option("--route-tol", type=_positive, default=1e-4, show_default=True)
-@click.option("--mis-normalize", type=float, default=1.0, hidden=True)
 def cmd_validate(model_name, hbar, quad_rel_tol, fd_step, out,
-                 n_str, samples, seed, route_tol, mis_normalize, **param_flags):
+                 n_str, samples, seed, route_tol, **param_flags):
     """Dual-route, gauge, and normalization checks; exit 1 on failure."""
     model = _get_model(model_name, hbar)
     n = _parse_n(model, n_str)
     cfg = _engine_config(quad_rel_tol, fd_step)
-
-    psi = model.psi
-    if mis_normalize != 1.0:
-        base_eval = psi.eval
-        base_grad = psi.analytic_param_grad
-        psi = type(psi)(
-            dim=psi.dim,
-            eval=lambda lamv, n, *ax: mis_normalize * np.asarray(base_eval(lamv, n, *ax)),
-            analytic_param_grad=None if base_grad is None else (
-                lambda lamv, n, rho, *ax: mis_normalize
-                * np.asarray(base_grad(lamv, n, rho, *ax))
-            ),
-        )
 
     if any(v is not None for v in param_flags.values()):
         points = [_param_point(model, param_flags)]
@@ -544,7 +528,7 @@ def cmd_validate(model_name, hbar, quad_rel_tol, fd_step, out,
         points = [model.sample_parameters(rng) for _ in range(samples)]
 
     try:
-        report = validate(psi, model.metric, model.domain_for, points, n, cfg,
+        report = validate(model.psi, model.metric, model.domain_for, points, n, cfg,
                           in_domain=model.in_domain, route_tol=route_tol)
     except EngineError as exc:
         _fail(3, type(exc).__name__, str(exc))
@@ -596,15 +580,20 @@ def cmd_spectrum(model_name, hbar, fmt, out, k, grid_size, **param_flags):
 @io_options
 @click.option("--energy", "energies", multiple=True, type=float,
               help="level-set energies, repeatable")
-@click.option("--levels", type=int, default=0,
+@click.option("--levels", type=click.IntRange(min=0), default=0,
               help="emit this many automatic energies 0.5, 1.0, ...")
 @click.option("--samples", type=click.IntRange(min=1), default=200, show_default=True)
 def cmd_phase_portrait(p_lambda, p_omega, fmt, out, energies, levels, samples):
     """Classical level sets of the exponential-metric system."""
     omega = 1.0 if p_omega is None else p_omega
     lam = 1.0 if p_lambda is None else p_lambda
-    if lam == 0:
-        raise click.UsageError("the phase portrait needs lambda != 0")
+    for flag, value in (("--lambda", lam), ("--omega", omega),
+                        *(("--energy", e) for e in energies)):
+        if not math.isfinite(value):
+            raise click.BadParameter(f"{value} is not a finite number.",
+                                     param_hint=f"'{flag}'")
+    if lam == 0 or omega == 0:
+        raise click.UsageError("the phase portrait needs lambda != 0 and omega != 0")
 
     e_list = list(energies) + [0.5 * (i + 1) for i in range(levels)]
     if not e_list:

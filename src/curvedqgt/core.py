@@ -2,9 +2,7 @@
 
 Conventions used across the package:
 
-* Parameter vectors are ordered 1-D float arrays; ``ParameterPoint`` wraps
-  them with names for user-facing surfaces.  Evaluation callables accept
-  either a ``ParameterPoint`` or a bare array (see :func:`param_values`).
+* Parameter vectors are ordered 1-D float arrays (see :func:`param_values`).
 * Configuration-space points are passed to evaluation callables as one
   broadcastable array per axis, e.g. ``eval(lam, n, x)`` in one dimension
   and ``eval(lam, n, x, y)`` in two.
@@ -18,7 +16,6 @@ the norm against their tolerances.
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -43,7 +40,6 @@ __all__ = [
     "LinearTermWarning",
     "NormalizationWarning",
     "LruCache",
-    "ParameterPoint",
     "MetricFamily",
     "WavefunctionFamily",
     "AxisTransform",
@@ -198,54 +194,8 @@ class LruCache:
             return value
 
 
-# ---------------------------------------------------------------------------
-# Parameter points
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ParameterPoint:
-    """An ordered point lambda = (lambda_1, ..., lambda_m) in parameter space."""
-
-    values: tuple
-    names: tuple
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        names = tuple(str(s) for s in self.names)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", names)
-        if len(values) != len(names):
-            raise ValueError(
-                f"{len(values)} values but {len(names)} names"
-            )
-        if len(values) < 1:
-            raise ValueError("a parameter point needs at least one component")
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"non-finite parameter values: {values}")
-
-    @property
-    def m(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.names, self.values))
-
-    def get(self, name: str) -> float:
-        return self.values[self.names.index(name)]
-
-    def shifted(self, index: int, delta: float) -> "ParameterPoint":
-        vals = list(self.values)
-        vals[index] += delta
-        return ParameterPoint(tuple(vals), self.names)
-
-
 def param_values(lam) -> np.ndarray:
     """Normalize a parameter argument to a 1-D float array."""
-    if isinstance(lam, ParameterPoint):
-        return lam.as_array()
     arr = np.atleast_1d(np.asarray(lam, dtype=float))
     if arr.ndim != 1:
         raise ValueError("parameter point must be one-dimensional")
@@ -534,7 +484,9 @@ def validate(psi: WavefunctionFamily, metric: MetricFamily, domain_for: Callable
     (fidelity susceptibility against the metric), ``gauge_invariance`` (G
     and F under psi -> exp(i alpha) psi), ``connection_shift`` (beta moves
     by grad alpha), ``normalization_identity`` (2 Re c = s / 2) and
-    ``norm_deviation`` (|<psi|psi> - 1| from the cached Gram matrix).
+    ``norm_deviation`` (|<psi|psi> - 1|).  The tensors, the normalization
+    identity and the norm all come from one Gram matrix per point, and the
+    gauge-transformed family from one more.
     """
     from . import fidelity, geometry
 
@@ -557,15 +509,15 @@ def validate(psi: WavefunctionFamily, metric: MetricFamily, domain_for: Callable
             raise DimensionMismatchError("domain.dim", metric.dim, domain.dim)
         _check_metric_samples(metric, domain, lamv, cfg.fd, in_domain)
 
-        engine = geometry.GeometryEngine(psi, metric, domain, cfg, in_domain=in_domain)
-        tensors = engine.qgt(lamv, n)
+        br = geometry.GeometryEngine(
+            psi, metric, domain, cfg, in_domain=in_domain).bracket_set(lamv, n)
+        tensors = geometry.assemble_tensors(br)
         chi = fidelity.fidelity_susceptibility(
             psi, metric, domain, lamv, n, cfg, in_domain=in_domain)
         tensors_g = geometry.GeometryEngine(
             psi_g, metric, domain, cfg, in_domain=in_domain).qgt(lamv, n)
         grad_alpha = np.zeros(lamv.size)
         grad_alpha[0] = 2 * _GAUGE_COEFF * lamv[0]
-        br = engine.bracket_set(lamv, n)
         residues = {
             "route_equivalence": [chi - tensors.qmt],
             "gauge_invariance": [tensors_g.qmt - tensors.qmt,
@@ -573,7 +525,7 @@ def validate(psi: WavefunctionFamily, metric: MetricFamily, domain_for: Callable
             "connection_shift": [tensors_g.berry_connection
                                  - tensors.berry_connection - grad_alpha],
             "normalization_identity": [2.0 * br["c"].real - 0.5 * br["s"]],
-            "norm_deviation": [engine.norm(lamv, n)[0] - 1.0],
+            "norm_deviation": [br["norm"] - 1.0],
         }
         # np.max, unlike max, keeps a NaN residue, which then fails its check
         for name, arrays in residues.items():

@@ -53,7 +53,6 @@ from .core import (
     EngineError,
     GeometricTensors,
     ImaginaryResidueWarning,
-    LruCache,
     MetricFamily,
     NormalizationWarning,
     ParameterBoundaryError,
@@ -67,16 +66,12 @@ from .quadrature import GramColumns, QuadratureConfig, integrate, integrate_2d_p
 __all__ = [
     "EngineConfig",
     "GeometryEngine",
-    "state_of",
-    "inner_product",
+    "assemble_tensors",
     "gauge_transform",
     "reparameterize",
     "berry_phase_loop",
 ]
 
-# Gram matrices (or Gram stacks) an engine keeps; a Berry loop caches one
-# stack per Gauss-Kronrod panel and visits each panel only once
-BRACKET_CACHE_SIZE = 64
 # largest |qgt - qgt^H| the assembly accepts from consistent brackets
 HERMITICITY_GATE = 1e-7
 # largest imaginary connection part before ImaginaryResidueWarning
@@ -113,14 +108,39 @@ def _integrate(f, domain: Domain, quad: QuadratureConfig):
     return integrate_2d_product(f, domain.axes[0], domain.axes[1], quad)
 
 
-def state_of(psi: WavefunctionFamily, n) -> Callable:
-    """Bind a quantum number: returns evaluator (lam, *axes) -> amplitudes."""
-    n = as_quantum_number(n)
+def assemble_tensors(br):
+    """The tensors of a :meth:`GeometryEngine.bracket_set` result: one
+    :class:`GeometricTensors` for one point, a list of them for a stack.
 
-    def ev(lam, *axes):
-        return psi.eval(param_values(lam), n, *axes)
-
-    return ev
+    The one assembly formula of the QGT; every point passes the Hermiticity
+    gate, and no bracket is integrated here.
+    """
+    A, B, S, c, s = br["A"], br["B"], br["S"], br["c"], br["s"]
+    c_col, c_row = np.conj(c)[..., None], c[..., None, :]
+    s_col, s_row = s[..., None], s[..., None, :]
+    g = (
+        A
+        - c_col * c_row
+        - 0.25 * (B + np.conj(np.swapaxes(B, -1, -2)))
+        + 0.25 * (s_col * c_row + c_col * s_row)
+        + (S - s_col * s_row) / 16.0
+    )
+    gh = np.conj(np.swapaxes(g, -1, -2))
+    residue = float(np.max(np.abs(g - gh)))
+    if residue > HERMITICITY_GATE:
+        raise EngineError(
+            f"QGT Hermiticity residue {residue:.3e} exceeds "
+            f"{HERMITICITY_GATE:.1e}; the assembled brackets "
+            "are inconsistent"
+        )
+    g, m = 0.5 * (g + gh), c.shape[-1]
+    tensors = [
+        GeometricTensors(qgt=gp, qmt=gp.real.copy(), berry_curvature=2.0 * gp.imag,
+                         berry_connection=bp, quad_error=float(ep), fd_steps=hp)
+        for gp, bp, ep, hp in zip(g.reshape(-1, m, m), _connection(c, s).real.reshape(-1, m),
+                                  np.reshape(br["err"], -1), br["fd_steps"].reshape(-1, m))
+    ]
+    return tensors[0] if np.ndim(br["err"]) == 0 else tensors
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +150,10 @@ def state_of(psi: WavefunctionFamily, n) -> Callable:
 class GeometryEngine:
     """Assembles geometric tensors for one (state family, metric, domain).
 
-    Pure given its inputs; the bracket cache is per-engine, bounded and
-    guarded, so an engine may be shared across threads.
+    Stateless: every call integrates its Gram matrix once and returns what
+    it assembles, so an engine may be shared across threads.  Read several
+    quantities from one :meth:`qgt` or :meth:`bracket_set` call rather than
+    calling once per quantity.
     """
 
     def __init__(self, psi: WavefunctionFamily, metric: MetricFamily,
@@ -144,7 +166,6 @@ class GeometryEngine:
         self.domain = domain
         self.cfg = cfg or EngineConfig()
         self.in_domain = in_domain
-        self.cache = LruCache(BRACKET_CACHE_SIZE)
 
     # -- integrand plumbing -------------------------------------------------
 
@@ -164,17 +185,13 @@ class GeometryEngine:
                  for r in rs]
         return psi, dpsi, sigma
 
-    def _key(self, name, lamv, n):
-        return (name, lamv.shape, lamv.tobytes(), tuple(n),
-                self.cfg.quad.rel_tol, self.cfg.quad.abs_tol,
-                self.cfg.fd.base_step, self.cfg.fd.scheme)
-
-    def bracket(self, name, lamv, n, columns):
+    def bracket(self, lamv, columns):
         """Gram matrices of column functions at one point ``(m,)`` or at a
         stack of points ``(P, m)``: (value, error).
 
         ``columns(p, *axes)`` returns the k column values of the point p at
-        the quadrature nodes, the state psi first.  Entry [a, b] of a
+        the quadrature nodes, a normalized state first; the overlaps of
+        several states are the Gram of their columns.  Entry [a, b] of a
         point's value is <U_a|U_b> = integral sqrt(g) conj(U_a) U_b, and the
         error matrix holds each entry's error estimate; both are ``(k, k)``
         for one point and ``(P, k, k)`` for a stack.  A stack takes one
@@ -186,8 +203,7 @@ class GeometryEngine:
         points in turn.  Either way the columns are contracted in one
         batched product.  Before any family call, a point outside
         ``in_domain`` raises :class:`ParameterBoundaryError` naming it.
-        Value and error are read-only and cached under (name, points, n,
-        tolerances).  Computing them warns with
+        Each call integrates once and warns with
         :class:`NormalizationWarning`, naming the point, for each point
         whose <psi|psi> is off 1 by more than ``NORM_WARN``: the connection
         and the tensors assume a normalized family, and a constant factor
@@ -215,28 +231,21 @@ class GeometryEngine:
                 cols = stack[0][None] if len(stack) == 1 else np.stack(np.broadcast_arrays(*stack))
             return cols.view(GramColumns)
 
-        def compute():
-            if self.in_domain is not None:
-                for p in points:
-                    if not self.in_domain(p):
-                        raise ParameterBoundaryError(
-                            f"parameter point {p} lies outside the parameter domain")
-            gram, err = _integrate(integrand, self.domain, self.cfg.quad)
-            for p, norm in zip(points, gram[:, 0, 0].real):
-                if abs(norm - 1.0) > NORM_WARN:
-                    warnings.warn(
-                        f"<psi|psi> = {norm:.12g} at {p}; the family is not "
-                        "normalized there",
-                        NormalizationWarning,
-                        stacklevel=4,
-                    )
-            if lamv.ndim == 1:
-                gram, err = gram[0], err[0]
-            gram.flags.writeable = False
-            err.flags.writeable = False
-            return gram, err
-
-        return self.cache.get_or_compute(self._key(name, lamv, n), compute)
+        if self.in_domain is not None:
+            for p in points:
+                if not self.in_domain(p):
+                    raise ParameterBoundaryError(
+                        f"parameter point {p} lies outside the parameter domain")
+        gram, err = _integrate(integrand, self.domain, self.cfg.quad)
+        for p, norm in zip(points, gram[:, 0, 0].real):
+            if abs(norm - 1.0) > NORM_WARN:
+                warnings.warn(
+                    f"<psi|psi> = {norm:.12g} at {p}; the family is not "
+                    "normalized there",
+                    NormalizationWarning,
+                    stacklevel=2,
+                )
+        return (gram[0], err[0]) if lamv.ndim == 1 else (gram, err)
 
     # -- bracket families ---------------------------------------------------
 
@@ -244,7 +253,7 @@ class GeometryEngine:
         """All brackets entering the tensors at one parameter point ``(m,)``,
         or at each point of a stack ``(P, m)`` under a leading P axis.
 
-        They are read-only blocks of one cached Gram matrix of the columns
+        They are blocks of one Gram matrix of the columns
         [psi, d_1 psi .. d_m psi, sigma_1 psi .. sigma_m psi], integrated on
         shared nodes; a stack is one bracket call.  ``gram_err`` holds the
         error of each Gram entry and ``err`` their sum; ``norm`` and ``err``
@@ -258,7 +267,7 @@ class GeometryEngine:
             psi, dpsi, sigma = self._sample(p, n, axes, range(m))
             return [psi, *dpsi, *(s * psi for s in sigma)]
 
-        gram, err = self.bracket("family", lamv, n, columns)
+        gram, err = self.bracket(lamv, columns)
         d, s = slice(1, m + 1), slice(m + 1, 2 * m + 1)
         steps = np.array([self.cfg.fd.step(v) for v in lamv.ravel()]).reshape(lamv.shape)
         out = float if lamv.ndim == 1 else np.asarray
@@ -292,7 +301,7 @@ class GeometryEngine:
 
     def berry_connection_along(self, lam, n, delta):
         """beta . delta at one point ``(m,)``, a float, or at each point of a
-        stack ``(P, m)``, an array ``(P,)``; from the cached Gram of the
+        stack ``(P, m)``, an array ``(P,)``; from the Gram of the
         three columns [psi, d_delta psi, sigma_delta psi].
 
         Equals ``berry_connection(lam, n) @ delta`` but samples only the
@@ -312,7 +321,7 @@ class GeometryEngine:
             s = sum(delta[r] * v for r, v in zip(rs, sigma))
             return [psi, d, s * psi]
 
-        gram, _ = self.bracket(("along", delta.tobytes()), lamv, n, columns)
+        gram, _ = self.bracket(lamv, columns)
         beta = self._real_connection(gram[..., 0, 1], gram[..., 0, 2].real)
         return float(beta) if lamv.ndim == 1 else beta
 
@@ -325,34 +334,8 @@ class GeometryEngine:
     def qgt(self, lam, n):
         """The tensors at one point ``(m,)``, a :class:`GeometricTensors`, or
         at each point of a stack ``(P, m)``, a list of them from one bracket
-        call; every point passes the Hermiticity gate."""
-        br = self.bracket_set(lam, n)
-        A, B, S, c, s = br["A"], br["B"], br["S"], br["c"], br["s"]
-        c_col, c_row = np.conj(c)[..., None], c[..., None, :]
-        s_col, s_row = s[..., None], s[..., None, :]
-        g = (
-            A
-            - c_col * c_row
-            - 0.25 * (B + np.conj(np.swapaxes(B, -1, -2)))
-            + 0.25 * (s_col * c_row + c_col * s_row)
-            + (S - s_col * s_row) / 16.0
-        )
-        gh = np.conj(np.swapaxes(g, -1, -2))
-        residue = float(np.max(np.abs(g - gh)))
-        if residue > HERMITICITY_GATE:
-            raise EngineError(
-                f"QGT Hermiticity residue {residue:.3e} exceeds "
-                f"{HERMITICITY_GATE:.1e}; the assembled brackets "
-                "are inconsistent"
-            )
-        g, m = 0.5 * (g + gh), c.shape[-1]
-        tensors = [
-            GeometricTensors(qgt=gp, qmt=gp.real.copy(), berry_curvature=2.0 * gp.imag,
-                             berry_connection=bp, quad_error=float(ep), fd_steps=hp)
-            for gp, bp, ep, hp in zip(g.reshape(-1, m, m), _connection(c, s).real.reshape(-1, m),
-                                      np.reshape(br["err"], -1), br["fd_steps"].reshape(-1, m))
-        ]
-        return tensors[0] if np.ndim(br["err"]) == 0 else tensors
+        call; see :func:`assemble_tensors`."""
+        return assemble_tensors(self.bracket_set(lam, n))
 
     def qgt_projector_oracle(self, lam, n):
         """QGT via <v_r|P|v_k> with v_r = d_r psi - sigma_r psi / 4.
@@ -368,28 +351,9 @@ class GeometryEngine:
             psi, dpsi, sigma = self._sample(p, n, axes, range(lamv.size))
             return [psi, *(d - 0.25 * s * psi for d, s in zip(dpsi, sigma))]
 
-        gram, _ = self.bracket("projector", lamv, n, columns)
+        gram, _ = self.bracket(lamv, columns)
         vp = gram[1:, 0]
         return gram[1:, 1:] - np.outer(vp, np.conj(vp))
-
-
-# ---------------------------------------------------------------------------
-# Functional surface
-# ---------------------------------------------------------------------------
-
-def inner_product(phi_state: Callable, psi_state: Callable,
-                  metric: MetricFamily, domain: Domain, lam,
-                  cfg: Optional[EngineConfig] = None):
-    """<phi|psi> = integral sqrt(g) conj(phi) psi; returns (value, error)."""
-    cfg = cfg or EngineConfig()
-    lamv = param_values(lam)
-
-    def f(*axes):
-        w = metric.sqrt_det(lamv, *axes)
-        return w * np.conj(np.asarray(phi_state(lamv, *axes))) \
-            * np.asarray(psi_state(lamv, *axes))
-
-    return _integrate(f, domain, cfg.quad)
 
 
 # ---------------------------------------------------------------------------

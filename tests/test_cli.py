@@ -215,6 +215,9 @@ def test_sweep_records_per_point_failures(runner):
     recs = [json.loads(line) for line in result.stdout.strip().splitlines()]
     assert any(r.get("error") for r in recs)
     assert any(not r.get("error") for r in recs)
+    # RFC 8259 JSON has no NaN: an error row's quad_error is null
+    assert "NaN" not in result.stdout
+    assert [r["diag"]["quad_error"] for r in recs if r.get("error")] == [None]
 
 
 def _sweep_records(runner, args):
@@ -333,9 +336,9 @@ def test_sweep_bracket_call_per_batch(runner, monkeypatch, args, shapes):
     seen = []
     real_bracket = GeometryEngine.bracket
 
-    def bracket(self, name, lamv, n, columns):
+    def bracket(self, lamv, columns):
         seen.append(lamv.shape)
-        return real_bracket(self, name, lamv, n, columns)
+        return real_bracket(self, lamv, columns)
 
     monkeypatch.setattr(GeometryEngine, "bracket", bracket)
     recs = _sweep_records(runner, [*args, "--quantities", "qmt"])
@@ -488,17 +491,6 @@ def test_validate_morse_route_deviation(runner):
     assert report["checks"]["route_equivalence"]["max_deviation"] <= 1e-4
 
 
-def test_validate_mis_normalized_exits_1(runner):
-    with pytest.warns(NormalizationWarning, match="not normalized"):
-        result = runner.invoke(main, [
-            "validate", "--model", "anharmonic-1d", "--lambda", "1", "--omega", "1",
-            "--mis-normalize", "1.01",
-        ])
-    assert result.exit_code == 1
-    report = json.loads(result.stdout.strip())
-    assert not report["checks"]["norm_deviation"]["pass"]
-
-
 @pytest.mark.parametrize("samples", ["0", "-2"])
 def test_validate_without_samples_exits_2(runner, samples):
     """Zero sampled points would pass every check vacuously."""
@@ -615,6 +607,12 @@ _BAD_NUMERIC_OPTIONS = [
     ["sweep", *ANHARMONIC, "--grid", "omega=1:2:2", "--jobs", "-3"],
     ["validate", *ANHARMONIC, "--route-tol", "-1"],
     ["validate", *ANHARMONIC, "--route-tol", "nan"],
+    ["validate", *ANHARMONIC, "--seed", "-1"],
+    *(["compute", *ANHARMONIC, "--hbar", v] for v in ("0", "-1", "nan")),
+    *(["spectrum", *ANHARMONIC, "--hbar", v] for v in ("0", "-1")),
+    *(["phase-portrait", flag, v] for flag, v in (
+        ("--omega", "0"), ("--omega", "nan"), ("--lambda", "nan"), ("--lambda", "0"),
+        ("--energy", "nan"), ("--levels", "-1"))),
 ]
 
 

@@ -10,29 +10,12 @@ from curvedqgt.core import (
     LruCache,
     MetricFamily,
     MetricPositivityError,
-    ParameterPoint,
+    NormalizationWarning,
     WavefunctionFamily,
     validate,
 )
 
 from conftest import make_engine
-
-
-def test_parameter_point_basics():
-    p = ParameterPoint((1.0, 2.0), ("lambda", "omega"))
-    assert p.m == 2
-    assert p.get("omega") == 2.0
-    assert p.shifted(0, 0.5).values == (1.5, 2.0)
-    assert p.as_dict() == {"lambda": 1.0, "omega": 2.0}
-
-
-def test_parameter_point_invariants():
-    with pytest.raises(ValueError):
-        ParameterPoint((1.0,), ("a", "b"))
-    with pytest.raises(ValueError):
-        ParameterPoint((), ())
-    with pytest.raises(ValueError):
-        ParameterPoint((np.nan,), ("a",))
 
 
 def test_axis_validation():
@@ -65,6 +48,40 @@ def test_validate_anharmonic_norm(anharmonic):
     assert set(report.checks) == {"route_equivalence", "gauge_invariance",
                                   "connection_shift", "normalization_identity",
                                   "norm_deviation"}
+
+
+def test_validate_integrates_two_grams_per_point(anharmonic, monkeypatch):
+    """One Gram per point serves the tensors, the normalization identity and
+    the norm; the gauge-transformed family takes one more."""
+    from curvedqgt import geometry
+
+    real_bracket, calls = geometry.GeometryEngine.bracket, []
+
+    def counting_bracket(self, lamv, columns):
+        calls.append(lamv.shape)
+        return real_bracket(self, lamv, columns)
+
+    monkeypatch.setattr(geometry.GeometryEngine, "bracket", counting_bracket)
+    report = validate(anharmonic.psi, anharmonic.metric, anharmonic.domain_for,
+                      [np.array([1.0, 1.0]), np.array([1.2, 0.8])],
+                      in_domain=anharmonic.in_domain)
+    assert report.ok
+    assert calls == [(2,)] * 4
+
+
+def test_validate_fails_a_mis_normalized_family(anharmonic):
+    """psi scaled by 1.01 has <psi|psi> = 1.0201: its Grams warn and
+    norm_deviation fails."""
+    psi = dataclasses.replace(
+        anharmonic.psi, eval=lambda lamv, n, x: 1.01 * anharmonic.psi.eval(lamv, n, x),
+        analytic_param_grad=lambda lamv, n, rho, x: 1.01 * anharmonic.psi.analytic_param_grad(
+            lamv, n, rho, x))
+    with pytest.warns(NormalizationWarning, match="not normalized"):
+        report = validate(psi, anharmonic.metric, anharmonic.domain_for,
+                          [np.array([1.0, 1.0])], in_domain=anharmonic.in_domain)
+    deviation, tolerance = report.checks["norm_deviation"]
+    assert abs(deviation - 0.0201) < 1e-8 and deviation > tolerance
+    assert not report.ok
 
 
 def test_validate_coupled_norm(coupled):

@@ -23,20 +23,26 @@ from conftest import make_engine
 
 
 # ---------------------------------------------------------------------------
-# Inner products and sigma expectations
+# Overlaps of states and sigma expectations
 # ---------------------------------------------------------------------------
 
-def test_inner_product_norms(anharmonic, morse):
+def _state_gram(model, lam, ns):
+    """<psi_a|psi_b> for the states a, b in ``ns``: the Gram of their columns."""
+    lam = np.asarray(lam, dtype=float)
+    gram, _ = make_engine(model, lam).bracket(
+        lam, lambda p, *axes: [model.psi.eval(p, n, *axes) for n in ns])
+    return gram
+
+
+def test_state_gram_norms(anharmonic, morse):
     lam = np.array([1.0, 1.0])
-    for model, n in ((anharmonic, (0,)), (morse, (0,))):
-        val, _ = geo.inner_product(
-            geo.state_of(model.psi, n), geo.state_of(model.psi, n),
-            model.metric, model.domain_for(lam), lam,
-        )
-        assert abs(val - 1.0) < 1e-8
+    # morse-like exposes the ground state only
+    for model, ns in ((anharmonic, [(0,), (1,), (2,)]), (morse, [(0,)])):
+        gram = _state_gram(model, lam, ns)
+        assert np.max(np.abs(np.diag(gram) - 1.0)) < 1e-8
 
 
-def test_inner_product_cross_state_overlap(anharmonic):
+def test_state_gram_cross_state_overlap(anharmonic):
     """<psi_0|psi_1> equals sqrt(2/pi), frozen from direct quadrature.
 
     The curved measure folds the line onto the half range of the
@@ -45,18 +51,11 @@ def test_inner_product_cross_state_overlap(anharmonic):
     boundary conditions at the degenerate point (their spectra interleave)
     and carry a nonzero mutual overlap.
     """
-    lam = np.array([1.0, 1.0])
-    val, _ = geo.inner_product(
-        geo.state_of(anharmonic.psi, (0,)), geo.state_of(anharmonic.psi, (1,)),
-        anharmonic.metric, anharmonic.domain_for(lam), lam,
-    )
-    assert abs(val - np.sqrt(2.0 / np.pi)) < 1e-8
+    gram = _state_gram(anharmonic, [1.0, 1.0], [(0,), (1,), (2,)])
+    assert abs(gram[0, 1] - np.sqrt(2.0 / np.pi)) < 1e-8
+    assert abs(gram[1, 0] - np.sqrt(2.0 / np.pi)) < 1e-8
     # same-index overlaps stay orthonormal within each boundary tower
-    val02, _ = geo.inner_product(
-        geo.state_of(anharmonic.psi, (0,)), geo.state_of(anharmonic.psi, (2,)),
-        anharmonic.metric, anharmonic.domain_for(lam), lam,
-    )
-    assert abs(val02) < 1e-8
+    assert abs(gram[0, 2]) < 1e-8
 
 
 def test_sigma_expectation_values(anharmonic, morse, engine_factory):
@@ -132,8 +131,8 @@ def test_connection_residue_warning(anharmonic):
 
 def test_constant_mis_normalization_warns_once_per_gram(anharmonic):
     """A constant factor leaves the connection real, so only the norm entry
-    of the Gram shows it; the warning comes with the Gram's computation,
-    not with the cache hits that reuse it."""
+    of the Gram shows it; the warning comes with the Gram's computation, and
+    each engine call computes one Gram."""
     scaled = WavefunctionFamily(
         dim=1, eval=lambda lamv, n, x: 1.01 * anharmonic.psi.eval(lamv, n, x))
     lam = np.array([1.0, 1.0])
@@ -144,8 +143,8 @@ def test_constant_mis_normalization_warns_once_per_gram(anharmonic):
         eng.qgt(lam, (0,))
         eng.berry_connection(lam, (0,))
         eng.norm(lam, (0,))
-    assert [w.category for w in caught] == [NormalizationWarning]
-    assert "1.0201" in str(caught[0].message)
+    assert [w.category for w in caught] == [NormalizationWarning] * 3
+    assert all("1.0201" in str(w.message) for w in caught)
 
 
 @pytest.mark.filterwarnings("error::curvedqgt.core.NormalizationWarning")
@@ -628,9 +627,9 @@ def _counting_loop(psi, generalized, monkeypatch, loop):
 
         return real_integrate(counted, dom, cfg)
 
-    def counting_bracket(self, name, lamv, n, columns):
+    def counting_bracket(self, lamv, columns):
         calls["points"].append(len(np.atleast_2d(lamv)))
-        return real_bracket(self, name, lamv, n, columns)
+        return real_bracket(self, lamv, columns)
 
     monkeypatch.setattr(geo, "integrate", counting_integrate)
     monkeypatch.setattr(geo.GeometryEngine, "bracket", counting_bracket)
@@ -704,7 +703,7 @@ def _stack_gram(model, psi, metric, stack, n):
         return [state, *(psi.analytic_param_grad(p, n, r, x) for r in rs),
                 *(-metric.analytic_log_det_grad(p, r, x) * state for r in rs)]
 
-    return eng.bracket("stack", stack, n, columns)[0], shapes
+    return eng.bracket(stack, columns)[0], shapes
 
 
 _BROADCAST_STACKS = [
@@ -836,28 +835,26 @@ def test_loop_warns_on_imaginary_residue(anharmonic):
 
 
 # ---------------------------------------------------------------------------
-# Cache and concurrency
+# Statelessness and concurrency
 # ---------------------------------------------------------------------------
 
-def test_parameter_point_api(anharmonic):
-    from curvedqgt.core import ParameterPoint
-
-    point = ParameterPoint((1.0, 1.0), ("lambda", "omega"))
-    G = geo.GeometryEngine(anharmonic.psi, anharmonic.metric,
-                           anharmonic.domain_for(point),
-                           in_domain=anharmonic.in_domain).qmt(point, 0)
-    assert np.max(np.abs(G - 0.125)) < 1e-8
-
-
-def test_bracket_cache_bitwise_identical(anharmonic):
+def test_repeated_qgt_integrates_again_and_matches(anharmonic, monkeypatch):
+    """An engine keeps no Gram: a second qgt at the same point integrates
+    again and returns equal arrays."""
     lam = np.array([1.0, 1.0])
     eng = make_engine(anharmonic, lam)
-    g1 = eng.qmt(lam, (0,))
-    misses = eng.cache.misses
-    g2 = eng.qmt(lam, (0,))
-    assert eng.cache.misses == misses
-    assert eng.cache.hits > 0
-    assert np.array_equal(g1, g2)
+    real_bracket, calls = geo.GeometryEngine.bracket, []
+
+    def counting_bracket(self, lamv, columns):
+        calls.append(lamv.shape)
+        return real_bracket(self, lamv, columns)
+
+    monkeypatch.setattr(geo.GeometryEngine, "bracket", counting_bracket)
+    first, second = eng.qgt(lam, (0,)), eng.qgt(lam, (0,))
+    assert calls == [(2,), (2,)]
+    assert np.array_equal(first.qgt, second.qgt)
+    assert np.array_equal(first.berry_connection, second.berry_connection)
+    assert first.quad_error == second.quad_error
 
 
 def test_concurrent_evaluations_deterministic(generalized):
@@ -871,25 +868,13 @@ def test_concurrent_evaluations_deterministic(generalized):
         assert np.array_equal(results[0], r)
 
 
-def test_bracket_cache_bounded(flat):
-    """300 distinct points on one engine keep at most the LRU capacity."""
-    eng = make_engine(flat, [1.0])
-    for om in np.linspace(0.6, 2.0, 300):
-        eng.berry_connection(np.array([om]), (0,))
-    assert len(eng.cache) <= geo.BRACKET_CACHE_SIZE
-    assert eng.cache.misses == 300
-    # the most recent point is still held: a repeat is a hit
-    eng.berry_connection(np.array([2.0]), (0,))
-    assert eng.cache.hits == 1
-
-
 def test_one_family_pass_per_point(generalized, monkeypatch):
     """psi is sampled once per integrand call, not once per bracket.
 
     Every integrand call covers one chunk of one quadrature level, so a
-    fresh qgt costs (levels reached x node chunks) evaluations of psi;
-    norm, sigma expectation and connection at the same point then reuse
-    the cached Gram and sample nothing.
+    qgt costs (levels reached x node chunks) evaluations of psi.  Norm,
+    bracket set and connection at the same point each integrate that Gram
+    once more, at the same cost: the engine keeps nothing between calls.
     """
     import dataclasses
 
@@ -920,11 +905,11 @@ def test_one_family_pass_per_point(generalized, monkeypatch):
     n_brackets = 30  # c, s: 3 each; A, B: 9 each; S: 6
     assert calls["integrate"] == 1
     assert calls["psi"] == calls["integrand"] <= eng.cfg.quad.max_levels + 1 < n_brackets
-    before = dict(calls)
-    eng.norm(lam, (1,))
-    eng.bracket_set(lam, (1,))
-    eng.berry_connection(lam, (1,))
-    assert calls == before
+    first = dict(calls)
+    for later in (eng.norm, eng.bracket_set, eng.berry_connection):
+        before = dict(calls)
+        later(lam, (1,))
+        assert {k: calls[k] - before[k] for k in calls} == first
 
 
 _CLOSED_FORM_CASES = [("anharmonic-1d", 0), ("anharmonic-1d", 2),
