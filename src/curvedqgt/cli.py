@@ -113,11 +113,12 @@ def _param_options(names):
 
 
 class _Positive(click.FloatRange):
-    """``FloatRange(x > 0)`` that refuses NaN as well."""
+    """``FloatRange(x > 0)`` that refuses NaN and infinity as well."""
 
     def convert(self, value, param, ctx):
         rv = super().convert(value, param, ctx)
-        return rv if rv > 0 else self.fail(f"{rv} is not in the range x>0.", param, ctx)
+        return rv if 0 < rv < math.inf else self.fail(
+            f"{rv} is not a finite number in the range x>0.", param, ctx)
 
 
 _positive = _Positive(min=0.0, min_open=True)

@@ -9,7 +9,10 @@ and chi equals the quantum metric tensor.  The estimate here never
 differentiates anything: it evaluates the overlap on symmetric
 displacement stencils, extracts the quadratic coefficient, and
 Richardson-extrapolates the step-size series.  That makes it an
-independent cross-check of the bracket-assembled metric.
+independent cross-check of the bracket-assembled metric.  The overlaps
+of F0 and every stencil point are one stack, integrated once on shared
+nodes with its own integrand; no code is shared with the brackets
+beyond the quadrature driver.
 """
 
 from __future__ import annotations
@@ -75,21 +78,37 @@ def overlap(psi: WavefunctionFamily, metric: MetricFamily, domain: Domain,
 
     Both quarter-root determinant factors are evaluated at their own
     parameter point, matching the symmetric split of the measure.
+    ``lam_shifted`` is one point l' ``(m,)``, giving one value and one
+    error, or a stack ``(P, m)``, giving ``(P,)`` of each from one
+    integration on shared nodes that stops once every overlap is within
+    tolerance.  When both families broadcast over points, each integrand
+    call samples l and the whole stack in one family call; otherwise it
+    samples the points in turn.
     """
     cfg = cfg or EngineConfig()
     lamv = param_values(lam)
-    lamv2 = param_values(lam_shifted)
+    shifted = np.asarray(lam_shifted, dtype=float)
+    points = np.vstack([lamv, shifted.reshape(-1, lamv.size)])
     n = as_quantum_number(n)
+    stacked = psi.broadcasts and metric.broadcasts
+
+    def weighted(p, axes):
+        return metric.quarter_root_det(p, *axes) * np.asarray(psi.eval(p, n, *axes))
 
     def f(*axes):
-        w = metric.quarter_root_det(lamv, *axes) \
-            * metric.quarter_root_det(lamv2, *axes)
-        return w * np.conj(np.asarray(psi.eval(lamv2, n, *axes))) \
-            * np.asarray(psi.eval(lamv, n, *axes))
+        if stacked:
+            # l and every l' at once: p[r] is (P + 1, 1, ..., 1)
+            nodes = np.broadcast_shapes(*(np.shape(a) for a in axes))
+            phi = weighted(points.T.reshape(points.shape[::-1] + (1,) * len(nodes)), axes)
+        else:
+            phi = np.stack(np.broadcast_arrays(*(weighted(p, axes) for p in points)))
+        return np.conj(phi[1:]) * phi[0]
 
     if domain.dim == 1:
-        return integrate(f, domain, cfg.quad)
-    return integrate_2d_product(f, domain.axes[0], domain.axes[1], cfg.quad)
+        val, err = integrate(f, domain, cfg.quad)
+    else:
+        val, err = integrate_2d_product(f, domain.axes[0], domain.axes[1], cfg.quad)
+    return (val, err) if shifted.ndim > 1 else (val[0], err[0])
 
 
 def _richardson(values, p: int = 2, r: float = 2.0):
@@ -104,18 +123,6 @@ def _richardson(values, p: int = 2, r: float = 2.0):
     return vals[-1], residual
 
 
-def _quadratic_coefficient(fid, direction, steps, f0):
-    """c2 in F(delta)/F0 = 1 + c2 delta^2 + O(delta^4), per step size."""
-    c2 = []
-    c1 = []
-    for d in steps:
-        fp = fid(d * direction)
-        fm = fid(-d * direction)
-        c2.append(((fp + fm) / (2.0 * f0) - 1.0) / (d * d))
-        c1.append((fp - fm) / (2.0 * d * f0))
-    return np.array(c2), np.array(c1)
-
-
 def fidelity_susceptibility_detailed(
         psi: WavefunctionFamily, metric: MetricFamily, domain: Domain,
         lam, n, cfg: Optional[EngineConfig] = None,
@@ -127,29 +134,41 @@ def fidelity_susceptibility_detailed(
     entries from the polarization identity over +-(e_r + e_k) delta and
     +-(e_r - e_k) delta, which avoids an ill-conditioned general fit.  The
     fitted linear term must vanish for a correctly normalized family and
-    is the most sensitive detector of measure-handling errors.
+    is the most sensitive detector of measure-handling errors.  Every
+    stencil point is checked against ``in_domain`` before any family call,
+    and F0 and all stencil overlaps are one stacked :func:`overlap`.
     """
     cfg = cfg or EngineConfig()
     sus_cfg = sus_cfg or SusceptibilityConfig()
     lamv = param_values(lam)
     n = as_quantum_number(n)
     m = lamv.size
-    steps = tuple(sorted(sus_cfg.delta_steps, reverse=True))
+    steps = np.array(sorted(sus_cfg.delta_steps, reverse=True), dtype=float)
 
-    def fid(displacement):
-        target = lamv + displacement
-        if in_domain is not None and not in_domain(target):
-            raise ParameterBoundaryError(
-                f"susceptibility stencil point {target} leaves the parameter domain"
-            )
-        val, _ = overlap(psi, metric, domain, lamv, target, n, cfg)
-        return abs(val)
+    unit = np.eye(m)
+    pairs = [(r, k) for r in range(m) for k in range(r + 1, m)]
+    directions = [*unit, *(unit[r] + sign * unit[k]
+                           for r, k in pairs for sign in (1.0, -1.0))]
+    # per direction, per step (largest first): +delta, then -delta
+    targets = np.array([lamv + sign * d * u for u in directions
+                        for d in steps for sign in (1.0, -1.0)])
+    if in_domain is not None:
+        for target in targets:
+            if not in_domain(target):
+                raise ParameterBoundaryError(
+                    f"susceptibility stencil point {target} leaves the parameter domain"
+                )
+    val, _ = overlap(psi, metric, domain, lamv, np.vstack([lamv, targets]), n, cfg)
+    fid = np.abs(val)
+    f0 = fid[0]
+    fid = fid[1:].reshape(len(directions), steps.size, 2)
 
-    f0, _ = overlap(psi, metric, domain, lamv, lamv, n, cfg)
-    f0 = abs(f0)
-
-    def fit(direction):
-        c2, c1 = _quadratic_coefficient(fid, direction, steps, f0)
+    def fit(j):
+        # c2 in F(delta)/F0 = 1 + c2 delta^2 + O(delta^4), and the linear
+        # c1, per step from the overlaps F(+-delta) along direction j
+        fp, fm = fid[j, :, 0], fid[j, :, 1]
+        c2 = ((fp + fm) / (2.0 * f0) - 1.0) / (steps * steps)
+        c1 = (fp - fm) / (2.0 * steps * f0)
         value, residual = _richardson(c2)
         # the raw c1 estimates carry the cubic term at O(delta^2);
         # the same extrapolation isolates the true linear coefficient
@@ -159,21 +178,19 @@ def fidelity_susceptibility_detailed(
     chi = np.zeros((m, m))
     worst_residual = 0.0
     worst_linear = 0.0
-    unit = np.eye(m)
     diag_scale = np.zeros(m)
     for r in range(m):
-        q, res, lin = fit(unit[r])
+        q, res, lin = fit(r)
         chi[r, r] = q
         diag_scale[r] = abs(q)
         worst_residual = max(worst_residual, res)
         worst_linear = max(worst_linear, lin)
-    for r in range(m):
-        for k in range(r + 1, m):
-            q_plus, res_p, lin_p = fit(unit[r] + unit[k])
-            q_minus, res_m, lin_m = fit(unit[r] - unit[k])
-            chi[r, k] = chi[k, r] = 0.25 * (q_plus - q_minus)
-            worst_residual = max(worst_residual, res_p, res_m)
-            worst_linear = max(worst_linear, lin_p, lin_m)
+    for j, (r, k) in enumerate(pairs):
+        q_plus, res_p, lin_p = fit(m + 2 * j)
+        q_minus, res_m, lin_m = fit(m + 2 * j + 1)
+        chi[r, k] = chi[k, r] = 0.25 * (q_plus - q_minus)
+        worst_residual = max(worst_residual, res_p, res_m)
+        worst_linear = max(worst_linear, lin_p, lin_m)
 
     scale = max(1.0, float(np.max(diag_scale)))
     if worst_residual > sus_cfg.residual_threshold * scale:

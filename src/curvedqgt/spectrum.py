@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,8 +42,6 @@ from .models import ModelSpec
 
 # scipy costs more to import than most commands take to run, so each solver
 # function imports the part it needs and `import curvedqgt` loads none of it
-if TYPE_CHECKING:
-    import scipy.sparse
 
 __all__ = [
     "Grid1D",
@@ -104,16 +102,19 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class DiscreteHamiltonian:
-    """Sparse symmetric H and the diagonal measure weights W."""
+    """Symmetric tridiagonal H and the diagonal measure weights W.
 
-    h_matrix: scipy.sparse.spmatrix
+    H is held as its diagonal ``main`` (n,) and its one off-diagonal
+    ``off`` (n - 1,), which serves above and below the diagonal, so H is
+    symmetric by construction.
+    """
+
+    main: np.ndarray
+    off: np.ndarray
     weights: np.ndarray
     grid: Grid1D
 
     def __post_init__(self):
-        res = abs(self.h_matrix - self.h_matrix.T).max()
-        if res > 1e-12 * max(1.0, abs(self.h_matrix).max()):
-            raise EngineError(f"discrete operator asymmetry {res:.3e}")
         if np.any(self.weights <= 0):
             raise MetricPositivityError("non-positive measure weight on the grid")
 
@@ -160,8 +161,6 @@ def build_hamiltonian(model: ModelSpec, grid: Grid1D,
     nudged inward since coordinate-degenerate endpoints (where the measure
     vanishes or the map blows up) sit exactly on them.
     """
-    import scipy.sparse
-
     lamv = grid.lam if lam is None else param_values(lam)
     h = grid.spacing
     u_cells = grid.points
@@ -200,26 +199,26 @@ def build_hamiltonian(model: ModelSpec, grid: Grid1D,
     hbar = model.hbar
     h_main = 0.5 * hbar * hbar * main / h + w * v_cells * h
     h_off = 0.5 * hbar * hbar * off / h
-    h_matrix = scipy.sparse.diags(
-        [h_off, h_main, h_off], offsets=[-1, 0, 1], format="csr"
-    )
-    return DiscreteHamiltonian(h_matrix=h_matrix, weights=w * h, grid=grid)
+    return DiscreteHamiltonian(main=h_main, off=h_off, weights=w * h, grid=grid)
 
 
 def _standard_form(dh: DiscreteHamiltonian):
     """Diagonal, off-diagonal and W^(-1/2) of T = W^(-1/2) H W^(-1/2)."""
     winv = 1.0 / np.sqrt(dh.weights)
-    main = dh.h_matrix.diagonal() * winv * winv
-    off = dh.h_matrix.diagonal(1) * winv[:-1] * winv[1:]
+    main = dh.main * winv * winv
+    off = dh.off * winv[:-1] * winv[1:]
     return main, off, winv
 
 
 def _pairs(dh: DiscreteHamiltonian, vals, vecs, winv):
-    """(E, phi, residual) per column of T's eigenvectors, phi W-orthonormal."""
+    """(E, phi, residual) per row of T's eigenvectors, phi W-orthonormal."""
     out = []
-    for j, e in enumerate(vals):
-        phi = vecs[:, j] * winv
-        h_phi = dh.h_matrix @ phi
+    for e, v in zip(vals, vecs):
+        phi = v * winv
+        # row i of H phi summed as off[i-1] phi[i-1] + main[i] phi[i] + off[i] phi[i+1]
+        h_phi = dh.main * phi
+        h_phi[1:] = dh.off * phi[:-1] + h_phi[1:]
+        h_phi[:-1] += dh.off * phi[1:]
         w_phi = dh.weights * phi
         residual = float(np.linalg.norm(h_phi - e * w_phi) / np.linalg.norm(w_phi))
         out.append((float(e), phi, residual))
@@ -242,7 +241,7 @@ def eigensolve(dh: DiscreteHamiltonian, k: int):
         )
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise EigensolveError(f"tridiagonal eigensolve failed: {exc}") from exc
-    return _pairs(dh, vals, vecs, winv)
+    return _pairs(dh, vals, vecs.T, winv)
 
 
 def _polish(dh: DiscreteHamiltonian, seed_points: np.ndarray, seed):
@@ -270,7 +269,7 @@ def _polish(dh: DiscreteHamiltonian, seed_points: np.ndarray, seed):
     radius[1:] += np.abs(off)
     t_norm = float(np.max(np.abs(main) + radius))
     tol = _POLISH_RESIDUAL * np.finfo(float).eps * t_norm
-    vecs = np.empty((dh.grid.n, k))
+    vecs = np.empty((k, dh.grid.n))
     vals = np.empty(k)
     res = np.full(k, np.inf)
     for j, (e_seed, phi_seed, _) in enumerate(seed):
@@ -289,7 +288,7 @@ def _polish(dh: DiscreteHamiltonian, seed_points: np.ndarray, seed):
             r = float(np.linalg.norm(tx))
             if r >= 0.5 * res[j]:
                 break
-            vecs[:, j], vals[j], res[j] = x, rho, r
+            vecs[j], vals[j], res[j] = x, rho, r
     if np.all(res <= tol) and np.all(np.diff(vals) > res[:-1] + res[1:]):
         lo = float(np.min(main - radius)) - 1.0
         hi = vals[-1] + res[-1]

@@ -267,8 +267,9 @@ def test_sweep_failing_points_leave_their_batch_intact(runner, monkeypatch):
     the abandoned stack is emitted a second time.
 
     The family is scaled by 1.001, so every Gram warns that it is not
-    normalized.  The planted point raises whenever it is evaluated alone; in
-    its batch that is its fidelity overlap, after the stack has warned."""
+    normalized.  The planted point raises whenever it is evaluated alone, and
+    a stack holding its stencil point [0.5, 0.76] raises too: in its batch
+    that is its stacked fidelity overlap, after the Gram stack has warned."""
     import dataclasses
 
     import curvedqgt.models as mdl
@@ -278,7 +279,9 @@ def test_sweep_failing_points_leave_their_batch_intact(runner, monkeypatch):
     base = real_get_model("anharmonic-1d")
 
     def psi_eval(lamv, n, x):
-        if np.ndim(lamv[0]) == 0 and np.allclose(lamv, [0.5, 0.75]):
+        points = np.reshape(lamv, (len(lamv), -1)).T
+        alone = np.ndim(lamv[0]) == 0 and np.allclose(lamv, [0.5, 0.75])
+        if alone or np.any(np.all(np.isclose(points, [0.5, 0.76]), axis=1)):
             raise EngineError("planted failure")
         return 1.001 * base.psi.eval(lamv, n, x)
 
@@ -608,7 +611,10 @@ _BAD_NUMERIC_OPTIONS = [
     ["validate", *ANHARMONIC, "--route-tol", "-1"],
     ["validate", *ANHARMONIC, "--route-tol", "nan"],
     ["validate", *ANHARMONIC, "--seed", "-1"],
-    *(["compute", *ANHARMONIC, "--hbar", v] for v in ("0", "-1", "nan")),
+    ["compute", *ANHARMONIC, "--quad-rel-tol", "inf"],
+    ["compute", *ANHARMONIC, "--fd-step", "inf"],
+    ["validate", *ANHARMONIC, "--route-tol", "inf"],
+    *(["compute", *ANHARMONIC, "--hbar", v] for v in ("0", "-1", "nan", "inf")),
     *(["spectrum", *ANHARMONIC, "--hbar", v] for v in ("0", "-1")),
     *(["phase-portrait", flag, v] for flag, v in (
         ("--omega", "0"), ("--omega", "nan"), ("--lambda", "nan"), ("--lambda", "0"),

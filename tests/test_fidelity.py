@@ -122,12 +122,23 @@ def test_residual_error_raised(anharmonic):
 
 
 def test_stencil_respects_parameter_domain(anharmonic):
+    """The first stencil point outside the domain, in stencil order, is named
+    before psi is evaluated anywhere."""
+    calls = []
+
+    def counted(lamv, n, x):
+        calls.append(lamv)
+        return anharmonic.psi.eval(lamv, n, x)
+
+    psi = dataclasses.replace(anharmonic.psi, eval=counted)
     lam = np.array([5e-3, 1.0])
-    with pytest.raises(ParameterBoundaryError):
+    with pytest.raises(ParameterBoundaryError) as err:
         fid.fidelity_susceptibility(
-            anharmonic.psi, anharmonic.metric, anharmonic.domain_for(lam),
+            psi, anharmonic.metric, anharmonic.domain_for(lam),
             lam, (0,), in_domain=anharmonic.in_domain,
         )
+    assert str(lam - np.array([1e-2, 0.0])) in str(err.value)
+    assert len(calls) == 0
 
 
 def test_linear_term_flags_norm_drift(anharmonic):
@@ -173,3 +184,72 @@ def test_config_validation():
 def test_config_rejects_empty_steps_and_non_positive_threshold(kwargs):
     with pytest.raises(ValueError):
         SusceptibilityConfig(**kwargs)
+
+
+_STACK_POINTS = {
+    "anharmonic": ([1.0, 1.0], [[0.0, 0.0], [1e-2, 0.0], [-1e-2, 0.0], [5e-3, -5e-3],
+                                [0.0, 2e-2]]),
+    "generalized": ([1.0, 0.3, 1.2], [[0.0, 0.0, 0.0], [1e-2, 0.0, 0.0], [0.0, -1e-2, 0.0],
+                                      [0.0, 5e-3, 5e-3], [-2.5e-3, 0.0, 2.5e-3]]),
+    "morse": ([0.5, 1.0], [[0.0, 0.0], [1e-2, 0.0], [0.0, -1e-2], [5e-3, 5e-3]]),
+    "coupled": ([1.0, 0.1, 1.5, 1.5], [[0.0, 0.0, 0.0, 0.0], [1e-2, 0.0, 0.0, 0.0],
+                                       [0.0, 0.0, -1e-2, 1e-2]]),
+}
+
+
+def _stack(model, name):
+    lam, shifts = _STACK_POINTS[name]
+    lam = np.array(lam)
+    return lam, lam + np.array(shifts), model.domain_for(lam)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_STACK_POINTS))
+def test_stacked_overlap_matches_solo_overlaps(request, name):
+    """Each entry of one stacked overlap is that point's own overlap."""
+    model = request.getfixturevalue(name)
+    lam, points, domain = _stack(model, name)
+    n = (0, 0) if name == "coupled" else (0,)
+    vals, errs = fid.overlap(model.psi, model.metric, domain, lam, points, n)
+    assert vals.shape == errs.shape == (len(points),)
+    for p, val in zip(points, vals):
+        solo, _ = fid.overlap(model.psi, model.metric, domain, lam, p, n)
+        assert abs(val - solo) <= 1e-13 * abs(solo)
+
+
+@pytest.mark.parametrize("name", ["anharmonic", "generalized", "morse"])
+def test_stacked_overlap_point_by_point_matches_broadcast(request, name):
+    """Families that do not broadcast are sampled in turn, to the same values."""
+    model = request.getfixturevalue(name)
+    assert model.psi.broadcasts and model.metric.broadcasts
+    lam, points, domain = _stack(model, name)
+    psi = dataclasses.replace(model.psi, broadcasts=False)
+    metric = dataclasses.replace(model.metric, broadcasts=False)
+    ref, _ = fid.overlap(model.psi, model.metric, domain, lam, points, (0,))
+    vals, _ = fid.overlap(psi, metric, domain, lam, points, (0,))
+    assert np.all(np.abs(vals - ref) <= 1e-15 * np.abs(ref))
+
+
+def test_susceptibility_is_one_overlap_and_one_integration(generalized, monkeypatch):
+    """F0 and all 54 stencil overlaps of a three-parameter point are one
+    stacked overlap, integrated once."""
+    overlaps = _counting(monkeypatch, fid, "overlap")
+    integrations = _counting(monkeypatch, fid, "integrate")
+    lam = np.array([1.0, 0.3, 1.2])
+    chi = fid.fidelity_susceptibility(
+        generalized.psi, generalized.metric, generalized.domain_for(lam), lam, (0,),
+        in_domain=generalized.in_domain)
+    assert len(overlaps) == len(integrations) == 1
+    G = make_engine(generalized, lam).qmt(lam, (0,))
+    assert np.max(np.abs(chi - G)) < 1e-8
