@@ -483,7 +483,8 @@ def validate(psi: WavefunctionFamily, metric: MetricFamily, domain_for: Callable
     keep their largest deviation over the points: ``route_equivalence``
     (fidelity susceptibility against the metric), ``gauge_invariance`` (G
     and F under psi -> exp(i alpha) psi), ``connection_shift`` (beta moves
-    by grad alpha), ``normalization_identity`` (2 Re c = s / 2) and
+    by grad alpha), ``normalization_identity`` (2 Re w = 0 for
+    w_rho = <psi|d_rho psi> - <sigma_rho>/4, the bracket_set row) and
     ``norm_deviation`` (|<psi|psi> - 1|).  The tensors, the normalization
     identity and the norm all come from one Gram matrix per point, and the
     gauge-transformed family from one more.
@@ -524,7 +525,7 @@ def validate(psi: WavefunctionFamily, metric: MetricFamily, domain_for: Callable
                                  tensors_g.berry_curvature - tensors.berry_curvature],
             "connection_shift": [tensors_g.berry_connection
                                  - tensors.berry_connection - grad_alpha],
-            "normalization_identity": [2.0 * br["c"].real - 0.5 * br["s"]],
+            "normalization_identity": [2.0 * br["w"].real],
             "norm_deviation": [br["norm"] - 1.0],
         }
         # np.max, unlike max, keeps a NaN residue, which then fails its check

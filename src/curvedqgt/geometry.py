@@ -1,31 +1,30 @@
 """Curved-space geometric objects on parameter space.
 
-Every quantity here is assembled from curved brackets
+Every quantity here comes from curved brackets
 
-    <A|B>       = integral sqrt(g) conj(A) B,
-    <A|s|B>     = integral sqrt(g) conj(A) s B,
+    <A|B> = integral sqrt(g) conj(A) B,
 
 with the sqrt(g) factor split symmetrically between bra and ket.  The
-bracket family entering the tensors is
+curved QGT is the ordinary QGT of phi = g^(1/4) psi, whose derivatives are
+d_r phi = g^(1/4) v_r with
 
-    A[r,k] = <d_r psi | d_k psi>        c[r] = <psi | d_r psi>
-    B[r,k] = <psi | sigma_r | d_k psi>  s[r] = <sigma_r>
-    S[r,k] = <sigma_r sigma_k>
+    v_r = d_r psi - sigma_r psi / 4,    sigma_r = -d ln det g / d lambda_r,
 
-where sigma_r = -d ln det g / d lambda_r.  All of them, and the norm, are
-blocks of one Gram matrix: the columns
-U = [psi, d_1 psi .. d_m psi, sigma_1 psi .. sigma_m psi] are sampled once
-per quadrature node and contracted as U^H diag(sqrt(g) w) U, so a point
-costs one pass over the nodes however many brackets it needs, and the
-sigma factors, which may depend on x, stay inside the integrand.  Each
-entry's error is its change over the last quadrature level, plus in 2-D
-the mass of the tails the product rule leaves unrefined.  The quantum
-geometric tensor comes from one assembly formula; the projector form
-<d_r(g^(1/4)psi)| P |d_k(g^(1/4)psi)> is kept as a test oracle with a Gram
-of its own columns v_r = d_r psi - sigma_r psi / 4.  A Berry loop needs
-only the connection along each segment delta, so it integrates the
-three-column Gram of [psi, d_delta psi, sigma_delta psi], with
-d_delta = sum_r delta_r d_r taken over the nonzero delta_r only.  A
+so it is the projector form <v_r|(1 - |psi><psi|)|v_k> (Provost & Vallee
+1980).  Everything it needs, and the norm, are entries of one Gram matrix:
+the columns U = [psi, v_1 .. v_m] are sampled once per quadrature node and
+contracted as U^H diag(sqrt(g) w) U, so a point costs one pass over the
+nodes, and the sigma factors, which may depend on x, stay inside the
+integrand.  With w_r = <psi|v_r> and G[r,k] = <v_r|v_k>,
+
+    qgt[r,k] = G[r,k] - conj(w_r) w_k,    beta_r = Im w_r,
+
+and Re w_r = Re<psi|d_r psi> - <sigma_r>/4 vanishes for a normalized
+family.  Each entry's error is its change over the last quadrature level,
+plus in 2-D the mass of the tails the product rule leaves unrefined.  A
+Berry loop needs only the connection along each segment delta, so it
+integrates the two-column Gram of [psi, v_delta], with
+v_delta = sum_r delta_r v_r taken over the nonzero delta_r only.  A
 bracket also takes a stack of points and integrates all their Grams in
 one pass over shared nodes; a loop hands it the points of one
 Gauss-Kronrod panel at a time, and a sweep a batch of grid points.
@@ -37,7 +36,8 @@ Conventions:
 
     qmt              = Re(qgt)                  (symmetric)
     berry_curvature  = 2 Im(qgt) = d beta       (antisymmetric)
-    berry_connection = -i c + (i/4) s           (real up to diagnostics)
+    berry_connection = Im<psi|v> = -i c + (i/4) s, with c = <psi|d psi> and
+                       s = <sigma>              (real up to diagnostics)
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ __all__ = [
     "berry_phase_loop",
 ]
 
-# largest |qgt - qgt^H| the assembly accepts from consistent brackets
-HERMITICITY_GATE = 1e-7
 # largest imaginary connection part before ImaginaryResidueWarning
 CONNECTION_RESIDUE_WARN = 1e-6
 # largest |<psi|psi> - 1| before NormalizationWarning; the registry models
@@ -94,13 +92,6 @@ class EngineConfig:
     fd: FdConfig = field(default_factory=FdConfig)
 
 
-def _connection(c, s):
-    """beta = -i c + (i/4) s from c = <psi|d psi> and s = <sigma>, entry by
-    entry or along one direction; the imaginary part is a residue that
-    vanishes for a normalized family."""
-    return -1j * c + 0.25j * s
-
-
 def _integrate(f, domain: Domain, quad: QuadratureConfig):
     """One integration over the domain: the 1-D rule or the 2-D product rule."""
     if domain.dim == 1:
@@ -108,36 +99,41 @@ def _integrate(f, domain: Domain, quad: QuadratureConfig):
     return integrate_2d_product(f, domain.axes[0], domain.axes[1], quad)
 
 
+def _qgt(br):
+    """qgt = G - conj(w)_r w_k of a :meth:`GeometryEngine.bracket_set`
+    result, ``(m, m)`` or ``(P, m, m)``: its Hermitian part, since the
+    batched Gram product is Hermitian only to rounding."""
+    w = br["w"]
+    g = br["G"] - np.conj(w)[..., :, None] * w[..., None, :]
+    return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
+
+
+def _real_connection(w):
+    """beta = Im w; warns when Re w, which vanishes for a normalized
+    family, exceeds ``CONNECTION_RESIDUE_WARN``."""
+    residue = float(np.max(np.abs(np.real(w))))
+    if residue > CONNECTION_RESIDUE_WARN:
+        warnings.warn(
+            f"Berry connection imaginary residue {residue:.3e}; check "
+            "normalization and differentiation steps",
+            ImaginaryResidueWarning,
+            stacklevel=3,
+        )
+    return np.imag(w)
+
+
 def assemble_tensors(br):
     """The tensors of a :meth:`GeometryEngine.bracket_set` result: one
     :class:`GeometricTensors` for one point, a list of them for a stack.
 
-    The one assembly formula of the QGT; every point passes the Hermiticity
-    gate, and no bracket is integrated here.
+    The one assembly formula of the QGT, qgt = G - conj(w)_r w_k, with
+    beta = Im w; no bracket is integrated here.
     """
-    A, B, S, c, s = br["A"], br["B"], br["S"], br["c"], br["s"]
-    c_col, c_row = np.conj(c)[..., None], c[..., None, :]
-    s_col, s_row = s[..., None], s[..., None, :]
-    g = (
-        A
-        - c_col * c_row
-        - 0.25 * (B + np.conj(np.swapaxes(B, -1, -2)))
-        + 0.25 * (s_col * c_row + c_col * s_row)
-        + (S - s_col * s_row) / 16.0
-    )
-    gh = np.conj(np.swapaxes(g, -1, -2))
-    residue = float(np.max(np.abs(g - gh)))
-    if residue > HERMITICITY_GATE:
-        raise EngineError(
-            f"QGT Hermiticity residue {residue:.3e} exceeds "
-            f"{HERMITICITY_GATE:.1e}; the assembled brackets "
-            "are inconsistent"
-        )
-    g, m = 0.5 * (g + gh), c.shape[-1]
+    g, m = _qgt(br), br["w"].shape[-1]
     tensors = [
         GeometricTensors(qgt=gp, qmt=gp.real.copy(), berry_curvature=2.0 * gp.imag,
                          berry_connection=bp, quad_error=float(ep), fd_steps=hp)
-        for gp, bp, ep, hp in zip(g.reshape(-1, m, m), _connection(c, s).real.reshape(-1, m),
+        for gp, bp, ep, hp in zip(g.reshape(-1, m, m), br["w"].imag.reshape(-1, m),
                                   np.reshape(br["err"], -1), br["fd_steps"].reshape(-1, m))
     ]
     return tensors[0] if np.ndim(br["err"]) == 0 else tensors
@@ -249,60 +245,56 @@ class GeometryEngine:
 
     # -- bracket families ---------------------------------------------------
 
+    def _v_columns(self, n, rs, delta=None):
+        """The column function of [psi, v_r for r in rs],
+        v_r = d_r psi - sigma_r psi / 4, or of [psi, v_delta] given delta."""
+        def columns(p, *axes):
+            psi, dpsi, sigma = self._sample(p, n, axes, rs)
+            if delta is not None:
+                # d_delta = sum_r delta_r d_r, over the nonzero delta_r only
+                dpsi = [sum(delta[r] * v for r, v in zip(rs, dpsi))]
+                sigma = [sum(delta[r] * v for r, v in zip(rs, sigma))]
+            return [psi, *(d - 0.25 * s * psi for d, s in zip(dpsi, sigma))]
+
+        return columns
+
     def bracket_set(self, lam, n):
-        """All brackets entering the tensors at one parameter point ``(m,)``,
+        """The brackets entering the tensors at one parameter point ``(m,)``,
         or at each point of a stack ``(P, m)`` under a leading P axis.
 
-        They are blocks of one Gram matrix of the columns
-        [psi, d_1 psi .. d_m psi, sigma_1 psi .. sigma_m psi], integrated on
-        shared nodes; a stack is one bracket call.  ``gram_err`` holds the
-        error of each Gram entry and ``err`` their sum; ``norm`` and ``err``
-        are floats for one point and arrays ``(P,)`` for a stack.
+        They are the entries of one Gram matrix of the columns
+        [psi, v_1 .. v_m], v_r = d_r psi - sigma_r psi / 4, integrated on
+        shared nodes; a stack is one bracket call.  ``norm`` is <psi|psi>,
+        ``w`` the row w_r = <psi|v_r> = <psi|d_r psi> - <sigma_r>/4 and
+        ``G`` the block G[r,k] = <v_r|v_k>.  ``gram_err`` holds the error of
+        each Gram entry and ``err`` their sum; ``norm`` and ``err`` are
+        floats for one point and arrays ``(P,)`` for a stack.
         """
         lamv = param_values(lam) if np.ndim(lam) < 2 else np.asarray(lam, dtype=float)
         n = as_quantum_number(n)
-        m = lamv.shape[-1]
-
-        def columns(p, *axes):
-            psi, dpsi, sigma = self._sample(p, n, axes, range(m))
-            return [psi, *dpsi, *(s * psi for s in sigma)]
-
-        gram, err = self.bracket(lamv, columns)
-        d, s = slice(1, m + 1), slice(m + 1, 2 * m + 1)
+        gram, err = self.bracket(lamv, self._v_columns(n, range(lamv.shape[-1])))
         steps = np.array([self.cfg.fd.step(v) for v in lamv.ravel()]).reshape(lamv.shape)
         out = float if lamv.ndim == 1 else np.asarray
-        return {"A": gram[..., d, d], "B": gram[..., s, d], "S": gram[..., s, s].real,
-                "c": gram[..., 0, d], "s": gram[..., 0, s].real,
-                "norm": out(gram[..., 0, 0].real), "err": out(err.sum(axis=(-2, -1))),
+        return {"norm": out(gram[..., 0, 0].real), "w": gram[..., 0, 1:],
+                "G": gram[..., 1:, 1:], "err": out(err.sum(axis=(-2, -1))),
                 "gram_err": err, "fd_steps": steps}
 
     # -- assembled quantities ------------------------------------------------
 
     def norm(self, lam, n):
+        """<psi|psi> and its error: floats for one point, arrays ``(P,)`` for
+        a stack."""
         br = self.bracket_set(lam, n)
-        return br["norm"], float(br["gram_err"][0, 0])
-
-    def _real_connection(self, c, s):
-        """Real part of the connection formula; warns on a large imaginary part."""
-        raw = _connection(c, s)
-        residue = float(np.max(np.abs(raw.imag)))
-        if residue > CONNECTION_RESIDUE_WARN:
-            warnings.warn(
-                f"Berry connection imaginary residue {residue:.3e}; check "
-                "normalization and differentiation steps",
-                ImaginaryResidueWarning,
-                stacklevel=3,
-            )
-        return raw.real
+        err = br["gram_err"][..., 0, 0]
+        return br["norm"], float(err) if err.ndim == 0 else err
 
     def berry_connection(self, lam, n):
-        br = self.bracket_set(lam, n)
-        return self._real_connection(br["c"], br["s"])
+        return _real_connection(self.bracket_set(lam, n)["w"])
 
     def berry_connection_along(self, lam, n, delta):
         """beta . delta at one point ``(m,)``, a float, or at each point of a
-        stack ``(P, m)``, an array ``(P,)``; from the Gram of the
-        three columns [psi, d_delta psi, sigma_delta psi].
+        stack ``(P, m)``, an array ``(P,)``; Im <psi|v_delta> from the Gram
+        of the two columns [psi, v_delta], v_delta = sum_r delta_r v_r.
 
         Equals ``berry_connection(lam, n) @ delta`` but samples only the
         parameter derivatives with delta_r != 0.  A stack is one bracket
@@ -312,48 +304,23 @@ class GeometryEngine:
         lamv = param_values(lam) if np.ndim(lam) < 2 else np.asarray(lam, dtype=float)
         n = as_quantum_number(n)
         delta = np.asarray(delta, dtype=float)
-        rs = np.flatnonzero(delta)
-
-        def columns(p, *axes):
-            # d_delta = sum_r delta_r d_r, over the nonzero delta_r only
-            psi, dpsi, sigma = self._sample(p, n, axes, rs)
-            d = sum(delta[r] * v for r, v in zip(rs, dpsi))
-            s = sum(delta[r] * v for r, v in zip(rs, sigma))
-            return [psi, d, s * psi]
-
-        gram, _ = self.bracket(lamv, columns)
-        beta = self._real_connection(gram[..., 0, 1], gram[..., 0, 2].real)
+        gram, _ = self.bracket(lamv, self._v_columns(n, np.flatnonzero(delta), delta))
+        beta = _real_connection(gram[..., 0, 1])
         return float(beta) if lamv.ndim == 1 else beta
 
     def qmt(self, lam, n):
-        return self.qgt(lam, n).qmt
+        """Re(qgt): ``(m, m)`` for one point, ``(P, m, m)`` for a stack."""
+        return _qgt(self.bracket_set(lam, n)).real
 
     def berry_curvature(self, lam, n):
-        return self.qgt(lam, n).berry_curvature
+        """2 Im(qgt): ``(m, m)`` for one point, ``(P, m, m)`` for a stack."""
+        return 2.0 * _qgt(self.bracket_set(lam, n)).imag
 
     def qgt(self, lam, n):
         """The tensors at one point ``(m,)``, a :class:`GeometricTensors`, or
         at each point of a stack ``(P, m)``, a list of them from one bracket
         call; see :func:`assemble_tensors`."""
         return assemble_tensors(self.bracket_set(lam, n))
-
-    def qgt_projector_oracle(self, lam, n):
-        """QGT via <v_r|P|v_k> with v_r = d_r psi - sigma_r psi / 4.
-
-        The sigma corrections sit inside the columns [psi, v_1 .. v_m] of a
-        Gram matrix of its own instead of being assembled from the bracket
-        family.  Kept as a cross-check of the expanded formula.
-        """
-        lamv = param_values(lam)
-        n = as_quantum_number(n)
-
-        def columns(p, *axes):
-            psi, dpsi, sigma = self._sample(p, n, axes, range(lamv.size))
-            return [psi, *(d - 0.25 * s * psi for d, s in zip(dpsi, sigma))]
-
-        gram, _ = self.bracket(lamv, columns)
-        vp = gram[1:, 0]
-        return gram[1:, 1:] - np.outer(vp, np.conj(vp))
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +415,7 @@ def berry_phase_loop(psi, metric, domain, loop, n, cfg=None, in_domain=None) -> 
     The loop is a sequence of parameter points; it is closed automatically
     when the last vertex differs from the first.  Each segment delta is
     integrated by adaptive Gauss-Kronrod bisection, and at every node
-    beta . delta comes from the directional Gram of
-    [psi, d_delta psi, sigma_delta psi]
+    beta . delta comes from the directional Gram of [psi, v_delta]
     (:meth:`GeometryEngine.berry_connection_along`), so an edge along one
     parameter samples one derivative instead of all of them.  The nodes of
     each rule call go to the engine in stacks of at most ``SEGMENT_POINTS``,

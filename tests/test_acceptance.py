@@ -21,7 +21,7 @@ from curvedqgt import geometry as geo
 from curvedqgt import models
 from curvedqgt import spectrum as sp
 
-from conftest import make_engine
+from conftest import expanded_brackets, make_engine
 
 
 def _report(criterion, label, value, bound, ok=None):
@@ -270,7 +270,7 @@ def test_criterion_7_property_suite(anharmonic, generalized, all_models):
     rng2 = np.random.default_rng(43)
     for model in all_models:
         lamv = model.sample_parameters(rng2)
-        br = make_engine(model, lamv).bracket_set(lamv, (0,) * model.dim)
+        br = expanded_brackets(make_engine(model, lamv), lamv, (0,) * model.dim)
         norm_dev = max(norm_dev, float(np.max(np.abs(
             2.0 * br["c"].real - 0.5 * br["s"]))))
     ok &= _report(7, "normalization identity residual", norm_dev, 1e-7)

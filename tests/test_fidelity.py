@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from curvedqgt import fidelity as fid
-from curvedqgt import geometry as geo
 from curvedqgt.core import (
     Domain,
     FitResidualError,

@@ -19,7 +19,7 @@ from curvedqgt.core import (
 )
 from curvedqgt.quadrature import QuadratureConfig, integrate
 
-from conftest import make_engine
+from conftest import expanded_brackets, expanded_qgt, make_engine
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def test_state_gram_cross_state_overlap(anharmonic):
 def test_sigma_expectation_values(anharmonic, morse, engine_factory):
     lam = np.array([1.0, 1.0])
     eng = engine_factory(anharmonic, lam)
-    s = eng.bracket_set(lam, (0,))["s"]
+    s = expanded_brackets(eng, lam, (0,))["s"]
     assert abs(s[1]) < 1e-10
     assert abs(s[0] - (-1.0)) < 1e-8
 
@@ -72,7 +72,7 @@ def test_sigma_expectation_values(anharmonic, morse, engine_factory):
         * x * np.exp(-np.exp(-x)),
         -30.0, 60.0, limit=400,
     )
-    assert abs(eng_m.bracket_set(lam, (0,))["s"][0] - (x_avg - 2.0)) < 1e-8
+    assert abs(expanded_brackets(eng_m, lam, (0,))["s"][0] - (x_avg - 2.0)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ def test_gamma_flat_reduces_to_overlap_form(flat, engine_factory):
     """With g = 1 all sigma correction groups vanish."""
     lam = np.array([1.0])
     eng = engine_factory(flat, lam)
-    br = eng.bracket_set(lam, (0,))
+    br = expanded_brackets(eng, lam, (0,))
     assert np.max(np.abs(br["s"])) < 1e-12
     assert np.max(np.abs(br["B"])) < 1e-12
     G = eng.qmt(lam, (0,))
@@ -266,31 +266,32 @@ def test_qgt_bundle(generalized, engine_factory):
     assert np.max(np.abs(tensors.berry_curvature - 2.0 * tensors.qgt.imag)) < 1e-9
     eigs = np.linalg.eigvalsh(tensors.qgt)
     assert eigs.min() >= -1e-9
-    # independent projector-form route
-    proj = eng.qgt_projector_oracle(lam, (0,))
-    assert np.max(np.abs(proj - tensors.qgt)) < 1e-9
+    # the expanded bracket formula, from its own 2m + 1 columns
+    expanded = expanded_qgt(expanded_brackets(eng, lam, (0,)))
+    assert np.max(np.abs(expanded - tensors.qgt)) < 1e-9
 
 
-def test_qgt_hermiticity_gate(anharmonic, monkeypatch):
-    lam = np.array([1.0, 1.3])
-    eng = make_engine(anharmonic, lam)
-    assert geo.HERMITICITY_GATE == 1e-7
-    clean = eng.qgt(lam, (2,))
-    assert np.all(np.isfinite(clean.qgt))
-
-    # an anti-Hermitian 1e-6 perturbation of A is what inconsistent brackets
-    # look like to the assembly; the default gate must refuse it
-    exact = eng.bracket_set
-
-    def skewed(lam, n):
-        br = dict(exact(lam, n))
-        m = br["A"].shape[0]
-        br["A"] = br["A"] + 1e-6j * np.ones((m, m))
-        return br
-
-    monkeypatch.setattr(eng, "bracket_set", skewed)
-    with pytest.raises(EngineError, match="Hermiticity"):
-        eng.qgt(lam, (2,))
+@pytest.mark.parametrize("name", models.available_models())
+def test_projector_form_matches_expanded_formula(name):
+    """The QGT from the Gram of [psi, v_1 .. v_m] equals the paper's
+    expanded formula over [psi, d_r psi, sigma_r psi], and beta = Im w
+    equals Re(-i c + i s / 4), at two sampled points."""
+    model = models.get_model(name)
+    rng = np.random.default_rng(23)
+    # morse-like and coupled-anharmonic-2d expose the ground state only
+    ns = (0,) if name in ("morse-like", "coupled-anharmonic-2d") else (0, 2)
+    for _ in range(2):
+        lamv = model.sample_parameters(rng)
+        eng = make_engine(model, lamv)
+        for n in ns:
+            quantum = (n,) * model.dim
+            tensors = eng.qgt(lamv, quantum)
+            br = expanded_brackets(eng, lamv, quantum)
+            expanded = expanded_qgt(br)
+            scale = np.max(np.abs(expanded))
+            assert np.max(np.abs(tensors.qgt - expanded)) <= 1e-13 * scale, (lamv, n)
+            beta = (-1j * br["c"] + 0.25j * br["s"]).real
+            assert np.max(np.abs(tensors.berry_connection - beta)) <= 1e-14, (lamv, n)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +342,7 @@ def test_normalization_identity_all_models(all_models, engine_factory):
     for model in all_models:
         lamv = model.sample_parameters(rng)
         eng = make_engine(model, lamv)
-        br = eng.bracket_set(lamv, (0,) * model.dim)
+        br = expanded_brackets(eng, lamv, (0,) * model.dim)
         residual = np.max(np.abs(2.0 * br["c"].real - 0.5 * br["s"]))
         assert residual < 1e-7, model.name
 
@@ -751,6 +752,43 @@ def test_qgt_of_a_stack_matches_each_point(name, stack, n):
     one, many = eng.bracket_set(stack[0], (n,)), eng.bracket_set(stack, (n,))
     assert type(one["norm"]) is float and type(one["err"]) is float
     assert many["norm"].shape == many["err"].shape == (len(stack),)
+
+
+_GENERALIZED_STACK = np.array(_BROADCAST_STACKS[2][1])
+
+
+def test_norm_of_a_stack_matches_each_point(generalized):
+    """norm takes a stack (P, m) and returns arrays (P,); one point keeps floats."""
+    eng = make_engine(generalized, _GENERALIZED_STACK[0])
+    norms, errs = eng.norm(_GENERALIZED_STACK, (1,))
+    assert norms.shape == errs.shape == (len(_GENERALIZED_STACK),)
+    for p, norm, err in zip(_GENERALIZED_STACK, norms, errs):
+        solo, solo_err = eng.norm(p, (1,))
+        assert type(solo) is float and type(solo_err) is float
+        assert abs(norm - solo) <= 1e-14 and abs(norm - 1.0) < 1e-12
+        assert err <= solo_err + 1e-14
+
+
+def test_qmt_of_a_stack_matches_each_point(generalized):
+    """qmt takes a stack (P, m) and returns (P, m, m), one matrix per point."""
+    eng = make_engine(generalized, _GENERALIZED_STACK[0])
+    stacked = eng.qmt(_GENERALIZED_STACK, (1,))
+    assert stacked.shape == (3, 3, 3)
+    for p, G in zip(_GENERALIZED_STACK, stacked):
+        solo = eng.qmt(p, (1,))
+        assert np.max(np.abs(G - solo)) <= 1e-13 * np.max(np.abs(solo))
+
+
+def test_berry_curvature_of_a_stack_matches_each_point(generalized):
+    """berry_curvature takes a stack (P, m) and returns (P, m, m), each
+    exactly antisymmetric."""
+    eng = make_engine(generalized, _GENERALIZED_STACK[0])
+    stacked = eng.berry_curvature(_GENERALIZED_STACK, (1,))
+    assert stacked.shape == (3, 3, 3)
+    assert np.max(np.abs(stacked + np.swapaxes(stacked, -1, -2))) == 0.0
+    for p, F in zip(_GENERALIZED_STACK, stacked):
+        solo = eng.berry_curvature(p, (1,))
+        assert np.max(np.abs(F - solo)) <= 1e-13 * np.max(np.abs(solo))
 
 
 def test_broadcast_stack_with_a_non_positive_det_raises(anharmonic):
