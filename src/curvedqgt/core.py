@@ -220,12 +220,15 @@ class MetricFamily:
 
     ``eval(lam, *axes)`` returns the metric with shape ``(..., dim, dim)``
     where ``...`` broadcasts over the axis arrays.  ``det`` is an optional
-    vectorized fast path for det g; ``analytic_log_det_grad(lam, rho, *axes)``
-    optionally returns d ln det g / d lambda_rho.  ``broadcasts`` declares
-    that ``eval``, ``det`` and ``analytic_log_det_grad`` also take a stack
-    of P points, ``lam[r]`` of shape ``(P, 1, ..., 1)`` with one 1 per node
-    axis, and return ``(P, *nodes)`` (``eval`` adds its two metric axes);
-    ``det_at`` and ``sqrt_det`` pass such a stack through.
+    vectorized fast path for det g; ``analytic_log_det_grad(lam, *axes)``
+    optionally returns the whole gradient d ln det g / d lambda_r, every r
+    in one call: a leading axis of length m whose entries broadcast
+    against the nodes.  ``broadcasts`` declares that ``eval``, ``det`` and
+    ``analytic_log_det_grad`` also take a stack of P points, ``lam[r]`` of
+    shape ``(P, 1, ..., 1)`` with one 1 per node axis, and return
+    ``(P, *nodes)`` (``eval`` adds its two metric axes, the gradient puts
+    its m axis first); ``det_at`` and ``sqrt_det`` pass such a stack
+    through.
     """
 
     dim: int
@@ -272,12 +275,15 @@ class WavefunctionFamily:
     """Complex amplitude psi_n(x, lambda) with optional analytic derivatives.
 
     ``eval(lam, n, *axes)`` returns complex amplitudes broadcast over the
-    axis arrays.  ``analytic_param_grad(lam, n, rho, *axes)``, when present,
-    returns d psi / d lambda_rho and is used as the default derivative
-    route.  ``broadcasts`` declares that both also take a stack of P
+    axis arrays.  ``analytic_param_grad(lam, n, *axes)``, when present,
+    returns the whole gradient, d psi / d lambda_r for every r stacked
+    ``(m, *values)``, and is used as the default derivative route; one
+    call serves all m partials, so a family computes what they share
+    once.  ``broadcasts`` declares that both also take a stack of P
     points, ``lam[r]`` of shape ``(P, 1, ..., 1)`` with one 1 per node
-    axis, and return ``(P, *nodes)``; a stacked bracket then evaluates
-    every point in one call (see :meth:`GeometryEngine.bracket
+    axis, and return ``(P, *nodes)``, behind the m axis for the gradient;
+    a stacked bracket then evaluates every point in one call (see
+    :meth:`GeometryEngine.bracket
     <curvedqgt.geometry.GeometryEngine.bracket>`).
     """
 
@@ -420,6 +426,13 @@ _CHECK_TOLERANCES = {"gauge_invariance": 1e-7, "connection_shift": 1e-8,
                      "normalization_identity": 1e-7, "norm_deviation": 1e-6}
 
 
+def _gauge_grad(lamv) -> np.ndarray:
+    """The gradient of the gauge checks' phase alpha."""
+    grad = np.zeros(lamv.size)
+    grad[0] = 2 * _GAUGE_COEFF * lamv[0]
+    return grad
+
+
 @dataclass
 class ValidationReport:
     """Checks over ``points``: each name maps to (max_deviation, tolerance)."""
@@ -465,11 +478,11 @@ def _check_metric_samples(metric: MetricFamily, domain: Domain, lamv,
     min_eig = np.min(np.linalg.eigvalsh(g), axis=-1)
     if np.min(min_eig) <= 0.0:
         fail("metric not positive-definite", np.argmin(min_eig))
-    for rho in range(lamv.size):
-        finite = np.isfinite(np.broadcast_to(d_log_det_g(
-            metric, lamv, rho, fd, *axes, in_domain=in_domain), min_eig.shape))
-        if not np.all(finite):
-            fail(f"sigma_{rho} non-finite", np.argmin(finite))
+    sigma = d_log_det_g(metric, lamv, fd, *axes, in_domain=in_domain)
+    bad = ~np.isfinite(np.broadcast_to(sigma, (lamv.size,) + min_eig.shape))
+    if np.any(bad):
+        rho, at = np.unravel_index(np.argmax(bad), bad.shape)
+        fail(f"sigma_{rho} non-finite", at)
 
 
 def validate(psi: WavefunctionFamily, metric: MetricFamily, domain_for: Callable,
@@ -500,9 +513,7 @@ def validate(psi: WavefunctionFamily, metric: MetricFamily, domain_for: Callable
     tolerances = {"route_equivalence": route_tol, **_CHECK_TOLERANCES}
     devs = dict.fromkeys(tolerances, 0.0)
     psi_g = geometry.gauge_transform(
-        psi, lambda lv: _GAUGE_COEFF * lv[0] ** 2,
-        alpha_grad=lambda lv, rho: 2 * _GAUGE_COEFF * lv[0] if rho == 0 else 0.0,
-    )
+        psi, lambda lv: _GAUGE_COEFF * lv[0] ** 2, alpha_grad=_gauge_grad)
     for lam in points:
         lamv = param_values(lam)
         domain = domain_for(lamv)
@@ -517,14 +528,12 @@ def validate(psi: WavefunctionFamily, metric: MetricFamily, domain_for: Callable
             psi, metric, domain, lamv, n, cfg, in_domain=in_domain)
         tensors_g = geometry.GeometryEngine(
             psi_g, metric, domain, cfg, in_domain=in_domain).qgt(lamv, n)
-        grad_alpha = np.zeros(lamv.size)
-        grad_alpha[0] = 2 * _GAUGE_COEFF * lamv[0]
         residues = {
             "route_equivalence": [chi - tensors.qmt],
             "gauge_invariance": [tensors_g.qmt - tensors.qmt,
                                  tensors_g.berry_curvature - tensors.berry_curvature],
             "connection_shift": [tensors_g.berry_connection
-                                 - tensors.berry_connection - grad_alpha],
+                                 - tensors.berry_connection - _gauge_grad(lamv)],
             "normalization_identity": [2.0 * br["w"].real],
             "norm_deviation": [br["norm"] - 1.0],
         }

@@ -40,8 +40,8 @@ class FdConfig:
     scheme: str = "central-4"  # "central-2" | "central-4"
 
     def __post_init__(self):
-        if self.base_step <= 0:
-            raise ValueError("base_step must be positive")
+        if not 0 < self.base_step < np.inf:
+            raise ValueError("base_step must be positive and finite")
         if self.scheme not in _STENCILS:
             raise ValueError(f"unknown scheme '{self.scheme}'")
 
@@ -84,40 +84,41 @@ def fd_derivative(fn: Callable, lam, rho: int, cfg: Optional[FdConfig] = None,
                zip(coeffs, _stencil_points(lamv, rho, offs, h))) / h
 
 
-def d_psi(psi: WavefunctionFamily, n, lam, rho: int,
-          cfg: Optional[FdConfig] = None, *axes,
+def d_psi(psi: WavefunctionFamily, n, lam, cfg: Optional[FdConfig] = None, *axes,
           in_domain: Optional[Callable] = None):
-    """d psi_n / d lambda_rho at the given configuration points.
+    """d psi_n / d lambda_r for every r at the given configuration points,
+    stacked ``(m, *values)``.
 
-    Returns the analytic derivative whenever the family supplies one.
+    Returns the analytic gradient whenever the family supplies one, also
+    for a stack of points on a broadcasting family, and otherwise central
+    differences in each parameter in turn.
     """
     n = as_quantum_number(n)
-    lamv = param_values(lam)
+    lamv = lam if np.ndim(lam) > 1 else param_values(lam)
     if psi.analytic_param_grad is not None:
-        return np.asarray(psi.analytic_param_grad(lamv, n, rho, *axes))
-    return fd_derivative(
+        return np.asarray(psi.analytic_param_grad(lamv, n, *axes))
+    return np.stack([fd_derivative(
         lambda p: np.asarray(psi.eval(p, n, *axes), dtype=complex),
-        lamv, rho, cfg, in_domain=in_domain,
-    )
+        lamv, rho, cfg, in_domain=in_domain) for rho in range(lamv.size)])
 
 
-def d_log_det_g(metric: MetricFamily, lam, rho: int,
-                cfg: Optional[FdConfig] = None, *axes,
+def d_log_det_g(metric: MetricFamily, lam, cfg: Optional[FdConfig] = None, *axes,
                 in_domain: Optional[Callable] = None):
-    """d ln det g / d lambda_rho, the source of every curvature correction."""
-    lamv = param_values(lam)
+    """d ln det g / d lambda_r for every r, the source of every curvature
+    correction: a leading axis of length m that broadcasts against the
+    values at the nodes, analytic when the family supplies it."""
+    lamv = lam if np.ndim(lam) > 1 else param_values(lam)
     if metric.analytic_log_det_grad is not None:
-        return np.asarray(metric.analytic_log_det_grad(lamv, rho, *axes))
-    return fd_derivative(
+        return np.asarray(metric.analytic_log_det_grad(lamv, *axes))
+    return np.stack([fd_derivative(
         lambda p: np.log(np.asarray(metric.det_at(p, *axes))),
-        lamv, rho, cfg, in_domain=in_domain,
-    )
+        lamv, rho, cfg, in_domain=in_domain) for rho in range(lamv.size)])
 
 
-def sigma_from_contraction(metric: MetricFamily, lam, rho: int,
-                           cfg: Optional[FdConfig] = None, *axes,
-                           in_domain: Optional[Callable] = None):
-    """sigma_rho = g_munu d g^munu / d lambda_rho, entrywise route.
+def sigma_from_contraction(metric: MetricFamily, lam, cfg: Optional[FdConfig] = None,
+                           *axes, in_domain: Optional[Callable] = None):
+    """sigma_r = g_munu d g^munu / d lambda_r for every r, stacked
+    ``(m, *nodes)``: the entrywise route.
 
     Differentiates the inverse metric entry by entry and contracts with
     the metric; used as the independent cross-check of the log-det route.
@@ -128,5 +129,5 @@ def sigma_from_contraction(metric: MetricFamily, lam, rho: int,
     def inv_entries(p):
         return np.linalg.inv(np.asarray(metric.eval(p, *axes)))
 
-    dginv = fd_derivative(inv_entries, lamv, rho, cfg, in_domain=in_domain)
-    return np.einsum("...ij,...ij->...", g, dginv)
+    return np.stack([np.einsum("...ij,...ij->...", g, fd_derivative(
+        inv_entries, lamv, rho, cfg, in_domain=in_domain)) for rho in range(lamv.size)])

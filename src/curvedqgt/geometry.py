@@ -24,14 +24,15 @@ family.  Each entry's error is its change over the last quadrature level,
 plus in 2-D the mass of the tails the product rule leaves unrefined.  A
 Berry loop needs only the connection along each segment delta, so it
 integrates the two-column Gram of [psi, v_delta], with
-v_delta = sum_r delta_r v_r taken over the nonzero delta_r only.  A
+v_delta = sum_r delta_r v_r.  At each integrand call the columns come from
+three family calls: psi, the gradient [d_r psi] and the gradient
+[d_r ln det g], each returning every parameter's partial at once.  A
 bracket also takes a stack of points and integrates all their Grams in
 one pass over shared nodes; a loop hands it the points of one
 Gauss-Kronrod panel at a time, and a sweep a batch of grid points.
 When the state and the metric both broadcast over points (their
-``broadcasts`` flag) and differentiate analytically, each integrand call
-samples the whole stack in one family call per column; any other family
-is sampled point by point.
+``broadcasts`` flag) and differentiate analytically, those three calls
+sample the whole stack; any other family is sampled point by point.
 Conventions:
 
     qmt              = Re(qgt)                  (symmetric)
@@ -165,21 +166,14 @@ class GeometryEngine:
 
     # -- integrand plumbing -------------------------------------------------
 
-    def _sample(self, lamv, n, axes, rs):
-        """psi, [d_r psi] and [sigma_r] for the parameters r in ``rs`` at the
-        given nodes, for one point ``(m,)`` or, on broadcasting families,
-        for a stack ``(m, P, 1, ..., 1)``."""
-        if lamv.ndim > 1:
-            return (self.psi.eval(lamv, n, *axes),
-                    [self.psi.analytic_param_grad(lamv, n, r, *axes) for r in rs],
-                    [-self.metric.analytic_log_det_grad(lamv, r, *axes) for r in rs])
+    def _sample(self, lamv, n, axes):
+        """psi and the gradients [d_r psi] and [sigma_r] at the given nodes,
+        for one point ``(m,)`` or, on broadcasting families, for a stack
+        ``(m, P, 1, ..., 1)``."""
         fd, in_domain = self.cfg.fd, self.in_domain
-        psi = np.asarray(self.psi.eval(lamv, n, *axes))
-        dpsi = [d_psi(self.psi, n, lamv, r, fd, *axes, in_domain=in_domain)
-                for r in rs]
-        sigma = [-d_log_det_g(self.metric, lamv, r, fd, *axes, in_domain=in_domain)
-                 for r in rs]
-        return psi, dpsi, sigma
+        return (np.asarray(self.psi.eval(lamv, n, *axes)),
+                d_psi(self.psi, n, lamv, fd, *axes, in_domain=in_domain),
+                -d_log_det_g(self.metric, lamv, fd, *axes, in_domain=in_domain))
 
     def bracket(self, lamv, columns):
         """Gram matrices of column functions at one point ``(m,)`` or at a
@@ -245,16 +239,18 @@ class GeometryEngine:
 
     # -- bracket families ---------------------------------------------------
 
-    def _v_columns(self, n, rs, delta=None):
-        """The column function of [psi, v_r for r in rs],
-        v_r = d_r psi - sigma_r psi / 4, or of [psi, v_delta] given delta."""
+    def _v_columns(self, n, delta=None):
+        """The column function of [psi, v_1 .. v_m], or of [psi, v_delta],
+        v_delta = sum_r delta_r v_r, given delta."""
         def columns(p, *axes):
-            psi, dpsi, sigma = self._sample(p, n, axes, rs)
+            psi, dpsi, sigma = self._sample(p, n, axes)
             if delta is not None:
                 # d_delta = sum_r delta_r d_r, over the nonzero delta_r only
-                dpsi = [sum(delta[r] * v for r, v in zip(rs, dpsi))]
-                sigma = [sum(delta[r] * v for r, v in zip(rs, sigma))]
-            return [psi, *(d - 0.25 * s * psi for d, s in zip(dpsi, sigma))]
+                dpsi, sigma = ([sum(delta[r] * g[r] for r in np.flatnonzero(delta))]
+                               for g in (dpsi, sigma))
+            # strict: a gradient without all m partials fails instead of
+            # silently dropping columns
+            return [psi, *(d - 0.25 * s * psi for d, s in zip(dpsi, sigma, strict=True))]
 
         return columns
 
@@ -272,7 +268,7 @@ class GeometryEngine:
         """
         lamv = param_values(lam) if np.ndim(lam) < 2 else np.asarray(lam, dtype=float)
         n = as_quantum_number(n)
-        gram, err = self.bracket(lamv, self._v_columns(n, range(lamv.shape[-1])))
+        gram, err = self.bracket(lamv, self._v_columns(n))
         steps = np.array([self.cfg.fd.step(v) for v in lamv.ravel()]).reshape(lamv.shape)
         out = float if lamv.ndim == 1 else np.asarray
         return {"norm": out(gram[..., 0, 0].real), "w": gram[..., 0, 1:],
@@ -296,15 +292,15 @@ class GeometryEngine:
         stack ``(P, m)``, an array ``(P,)``; Im <psi|v_delta> from the Gram
         of the two columns [psi, v_delta], v_delta = sum_r delta_r v_r.
 
-        Equals ``berry_connection(lam, n) @ delta`` but samples only the
-        parameter derivatives with delta_r != 0.  A stack is one bracket
-        call, so its points share one integration.  The imaginary-residue
-        warning covers every point.
+        Equals ``berry_connection(lam, n) @ delta`` but integrates a
+        two-column Gram instead of an (m + 1)-column one: the family
+        gradients are sampled whole and contracted with delta at every
+        node.  A stack is one bracket call, so its points share one
+        integration.  The imaginary-residue warning covers every point.
         """
         lamv = param_values(lam) if np.ndim(lam) < 2 else np.asarray(lam, dtype=float)
         n = as_quantum_number(n)
-        delta = np.asarray(delta, dtype=float)
-        gram, _ = self.bracket(lamv, self._v_columns(n, np.flatnonzero(delta), delta))
+        gram, _ = self.bracket(lamv, self._v_columns(n, np.asarray(delta, dtype=float)))
         beta = _real_connection(gram[..., 0, 1])
         return float(beta) if lamv.ndim == 1 else beta
 
@@ -332,25 +328,26 @@ def gauge_transform(psi: WavefunctionFamily, alpha: Callable,
     """Multiply the family by exp(i alpha(lambda)).
 
     The connection shifts by the gradient of alpha; metric-derived
-    quantities are untouched.  Analytic parameter derivatives are adjusted
-    when present, differentiating alpha by central differences if no
-    gradient callable is supplied.
+    quantities are untouched.  An analytic gradient of the family gains
+    i (d_r alpha) psi in each partial; ``alpha_grad(lam)`` returns the
+    ``(m,)`` gradient of alpha, which central differences supply when it
+    is not given.
     """
-    def grad_alpha(lamv, rho):
+    def grad_alpha(lamv):
         if alpha_grad is not None:
-            return alpha_grad(lamv, rho)
-        return fd_derivative(alpha, lamv, rho, _ALPHA_FD)
+            return np.asarray(alpha_grad(lamv), dtype=float)
+        return np.array([fd_derivative(alpha, lamv, r, _ALPHA_FD) for r in range(lamv.size)])
 
     def new_eval(lamv, n, *axes):
         return np.exp(1j * alpha(lamv)) * np.asarray(psi.eval(lamv, n, *axes))
 
     new_grad = None
     if psi.analytic_param_grad is not None:
-        def new_grad(lamv, n, rho, *axes):
-            phase = np.exp(1j * alpha(lamv))
-            base = np.asarray(psi.analytic_param_grad(lamv, n, rho, *axes))
+        def new_grad(lamv, n, *axes):
+            base = np.asarray(psi.analytic_param_grad(lamv, n, *axes))
             state = np.asarray(psi.eval(lamv, n, *axes))
-            return phase * (base + 1j * grad_alpha(lamv, rho) * state)
+            return np.exp(1j * alpha(lamv)) * (
+                base + 1j * np.multiply.outer(grad_alpha(lamv), state))
 
     return WavefunctionFamily(dim=psi.dim, eval=new_eval, analytic_param_grad=new_grad)
 
@@ -360,51 +357,30 @@ def reparameterize(psi: WavefunctionFamily, metric: MetricFamily,
     """Pull (psi, metric) back along lambda = map_fn(lambda').
 
     ``jacobian_fn(lam')`` returns J[a, r] = d lambda_a / d lambda'_r.
-    Analytic derivatives transform by the chain rule.
+    Analytic gradients transform by the chain rule, J^T times the gradient
+    at map_fn(lam').
     """
-    def checked_jacobian(lamv):
-        jac = np.asarray(jacobian_fn(lamv), dtype=float)
-        if abs(np.linalg.det(jac)) < 1e-12:
-            raise EngineError(f"singular reparameterization Jacobian at {lamv}")
-        return jac
+    def base(lamv):
+        return np.asarray(map_fn(lamv), dtype=float)
 
-    def psi_eval(lamv, n, *axes):
-        return psi.eval(np.asarray(map_fn(lamv), dtype=float), n, *axes)
+    def pulled_back(grad):
+        def new_grad(lamv, *args):
+            jac = np.asarray(jacobian_fn(lamv), dtype=float)
+            if abs(np.linalg.det(jac)) < 1e-12:
+                raise EngineError(f"singular reparameterization Jacobian at {lamv}")
+            return np.tensordot(jac.T, np.asarray(grad(base(lamv), *args)), axes=1)
 
-    psi_grad = None
-    if psi.analytic_param_grad is not None:
-        def psi_grad(lamv, n, rho, *axes):
-            jac = checked_jacobian(lamv)
-            base = np.asarray(map_fn(lamv), dtype=float)
-            total = 0
-            for a in range(base.size):
-                if jac[a, rho] != 0.0:
-                    total = total + jac[a, rho] * np.asarray(
-                        psi.analytic_param_grad(base, n, a, *axes)
-                    )
-            return total
+        return None if grad is None else new_grad
 
-    metric_grad = None
-    if metric.analytic_log_det_grad is not None:
-        def metric_grad(lamv, rho, *axes):
-            jac = checked_jacobian(lamv)
-            base = np.asarray(map_fn(lamv), dtype=float)
-            total = 0
-            for a in range(base.size):
-                if jac[a, rho] != 0.0:
-                    total = total + jac[a, rho] * np.asarray(
-                        metric.analytic_log_det_grad(base, a, *axes)
-                    )
-            return total
-
-    new_psi = WavefunctionFamily(dim=psi.dim, eval=psi_eval, analytic_param_grad=psi_grad)
+    new_psi = WavefunctionFamily(
+        dim=psi.dim, eval=lambda lamv, n, *axes: psi.eval(base(lamv), n, *axes),
+        analytic_param_grad=pulled_back(psi.analytic_param_grad))
     new_metric = MetricFamily(
         dim=metric.dim,
-        eval=lambda lamv, *axes: metric.eval(np.asarray(map_fn(lamv), dtype=float), *axes),
+        eval=lambda lamv, *axes: metric.eval(base(lamv), *axes),
         det=(None if metric.det is None else (
-            lambda lamv, *axes: metric.det(np.asarray(map_fn(lamv), dtype=float), *axes)
-        )),
-        analytic_log_det_grad=metric_grad,
+            lambda lamv, *axes: metric.det(base(lamv), *axes))),
+        analytic_log_det_grad=pulled_back(metric.analytic_log_det_grad),
     )
     return new_psi, new_metric
 
@@ -416,13 +392,13 @@ def berry_phase_loop(psi, metric, domain, loop, n, cfg=None, in_domain=None) -> 
     when the last vertex differs from the first.  Each segment delta is
     integrated by adaptive Gauss-Kronrod bisection, and at every node
     beta . delta comes from the directional Gram of [psi, v_delta]
-    (:meth:`GeometryEngine.berry_connection_along`), so an edge along one
-    parameter samples one derivative instead of all of them.  The nodes of
-    each rule call go to the engine in stacks of at most ``SEGMENT_POINTS``,
-    one panel, and each stack is one bracket call: one integration over
-    the family's domain, whatever the number of points.  On families that
-    broadcast over points, each integrand call of that integration samples
-    the whole panel in one family call per column.  A stacked point outside
+    (:meth:`GeometryEngine.berry_connection_along`), two columns whatever
+    the number of parameters.  The nodes of each rule call go to the
+    engine in stacks of at most ``SEGMENT_POINTS``, one panel, and each
+    stack is one bracket call: one integration over the family's domain,
+    whatever the number of points.  On families that broadcast over
+    points, each integrand call of that integration samples the whole
+    panel in one call per family callable.  A stacked point outside
     ``in_domain`` raises :class:`ParameterBoundaryError` before any family
     call.  The connection's imaginary-residue warning still applies at
     every node.

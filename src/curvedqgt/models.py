@@ -76,64 +76,44 @@ def _hermite_pair(n: int, z):
     return h_prev, h
 
 
-def _at(v, mask):
-    """``v`` where ``mask`` holds: a scalar as it is, an array (a per-point
-    coefficient ``(P, 1)`` or a node array) broadcast to the mask first."""
-    if not isinstance(v, np.ndarray):
-        return v
-    return (v if v.shape == mask.shape else np.broadcast_to(v, mask.shape))[mask]
-
-
 def _node_shape(lamv, x):
     """Shape of a 1-D family value: that of the nodes ``x``, behind the
     points axis of a stacked ``lamv``."""
     return np.shape(lamv[0])[:1] + np.shape(x)
 
 
-def _masked(arg, builder, shape=None, dtype=float):
-    """Evaluate builder(mask) only where exp(arg) does not underflow."""
-    arg = np.asarray(arg)
-    out_shape = arg.shape if shape is None else shape
-    out = np.zeros(out_shape, dtype=dtype)
-    mask = arg > _EXP_FLOOR
-    if np.any(mask):
-        out[mask] = builder(mask)
-    return out
-
-
-def _oscillator_norm(n: int, omega: float, hbar: float) -> float:
+def _oscillator_norm(n: int, omega, hbar: float):
     return (omega / (math.pi * hbar)) ** 0.25 / math.sqrt(2.0 ** n * math.factorial(n))
 
 
-def _oscillator(u, omega, n, hbar, c_psi=1.0, c_dil=None):
-    """c_psi psi_n(u) + c_dil u d psi_n/du for the flat oscillator state
-    (no dilation term when c_dil is None).
+def _oscillator(u, omega, n, hbar, dilation=True):
+    """(psi_n(u), u d psi_n/du) of the flat oscillator state, or psi_n(u)
+    alone without ``dilation``.
 
     psi_n(u) = N_n e^(-z^2/2) H_n(z) with z = sqrt(omega/hbar) u, and
     u d psi_n/du = N_n e^(-z^2/2) (z H_n'(z) - z^2 H_n(z)), H_n' = 2n H_{n-1};
-    one exponential and one Hermite recurrence serve both terms.  psi_n
-    depends on omega only through omega^(1/4) and sqrt(omega) u, so
-    d psi_n/d omega is the pair (1/(4 omega), 1/(2 omega)).  omega and the
-    coefficients may be per-point arrays ``(P, 1)`` against nodes ``u``.
+    one exponential and one Hermite recurrence serve both.  psi_n depends
+    on omega only through omega^(1/4) and sqrt(omega) u, so
+    d psi_n/d omega = psi_n/(4 omega) + (u d psi_n/du)/(2 omega), and every
+    parameter derivative is a combination of the pair.  Where e^(-z^2/2)
+    underflows, z is zeroed before the recurrence, which would overflow
+    there, and both values are zero.  omega may be a per-point array
+    ``(P, 1)`` against nodes ``u``.
     """
     z = np.sqrt(omega / hbar) * np.asarray(u, dtype=float)
     arg = -0.5 * z * z
-    pref = _oscillator_norm(n, omega, hbar)
-
-    def build(mask):
-        zm = z[mask]
-        h_prev, h = _hermite_pair(n, zm)
-        inner = _at(c_psi, mask) * h
-        if c_dil is not None:
-            inner = inner + _at(c_dil, mask) * zm * (2.0 * n * h_prev - zm * h)
-        return _at(pref, mask) * np.exp(arg[mask]) * inner
-
-    return _masked(arg, build)
+    live = arg > _EXP_FLOOR
+    z = np.where(live, z, 0.0)
+    h_prev, h = _hermite_pair(n, z)
+    envelope = np.where(live, _oscillator_norm(n, omega, hbar) * np.exp(arg), 0.0)
+    if not dilation:
+        return envelope * h
+    return envelope * h, envelope * (z * (2.0 * n * h_prev - z * h))
 
 
-def _omega_pair(omega: float, d_omega: float = 1.0):
-    """Kernel coefficients of d psi_n / d p when omega depends on p."""
-    return d_omega / (4.0 * omega), d_omega / (2.0 * omega)
+def _omega_derivative(psi, dil, omega):
+    """d psi_n / d omega from the pair of :func:`_oscillator`."""
+    return psi / (4.0 * omega) + dil / (2.0 * omega)
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +213,16 @@ def _quartic_metric() -> MetricFamily:
     def det(lamv, x):
         return 4.0 * lamv[0] * np.square(np.asarray(x, dtype=float))
 
+    def log_det_grad(lamv, x):
+        out = np.zeros((len(lamv),) + _node_shape(lamv, x))
+        out[0] = 1.0 / lamv[0]
+        return out
+
     return MetricFamily(
         dim=1,
         eval=lambda lamv, x: det(lamv, x)[..., None, None],
         det=det,
-        analytic_log_det_grad=lambda lamv, rho, x: (
-            np.full(_node_shape(lamv, x), 1.0 / lamv[0]) if rho == 0
-            else np.zeros(_node_shape(lamv, x))
-        ),
+        analytic_log_det_grad=log_det_grad,
         broadcasts=True,
     )
 
@@ -277,15 +259,15 @@ def _anharmonic_refs(hbar: float) -> dict:
 
 
 def anharmonic_1d(hbar: float = 1.0) -> ModelSpec:
-    def psi_grad(lamv, n, rho, x):
+    def psi_grad(lamv, n, x):
         lam, om = lamv
-        coeffs = (0.0, 1.0 / (2.0 * lam)) if rho == 0 else _omega_pair(om)
-        return _oscillator(_quartic_u(lam, x), om, n[0], hbar, *coeffs) + 0j
+        psi, dil = _oscillator(_quartic_u(lam, x), om, n[0], hbar)
+        return np.stack([dil / (2.0 * lam), _omega_derivative(psi, dil, om)])
 
     psi = WavefunctionFamily(
         dim=1,
         eval=lambda lamv, n, x: _oscillator(
-            _quartic_u(lamv[0], x), lamv[1], n[0], hbar) + 0j,
+            _quartic_u(lamv[0], x), lamv[1], n[0], hbar, dilation=False) + 0j,
         analytic_param_grad=psi_grad,
         broadcasts=True,
     )
@@ -313,28 +295,14 @@ def anharmonic_1d(hbar: float = 1.0) -> ModelSpec:
 # Morse-like model
 # ---------------------------------------------------------------------------
 
-def _morse_psi(x, lam, omega, hbar):
-    # where exp(-lam x) overflows, psi underflows to zero
+def _morse(x, lam, omega, hbar):
+    """(psi_0, e^(-lam x)) of the Morse-like ground state; where e^(-lam x)
+    would overflow, psi underflows to zero and e is held at 1."""
     arg = lam * np.asarray(x, dtype=float)
+    live = arg > _EXP_FLOOR
+    e = np.exp(-np.where(live, arg, 0.0))
     pref = math.sqrt(2.0) * (omega / (math.pi * hbar)) ** 0.25
-    return _masked(arg, lambda mask: _at(pref, mask) * np.exp(
-        -_at(omega, mask) * np.exp(-arg[mask]) / (2.0 * hbar)))
-
-
-def _morse_dpsi(x, lam, omega, hbar, which: str):
-    x = np.asarray(x, dtype=float)
-    arg = lam * x
-    pref = math.sqrt(2.0) * (omega / (math.pi * hbar)) ** 0.25
-
-    def build(mask):
-        e = np.exp(-arg[mask])
-        om = _at(omega, mask)
-        psi = _at(pref, mask) * np.exp(-om * e / (2.0 * hbar))
-        if which == "lam":
-            return psi * (om * _at(x, mask) * e / (2.0 * hbar))
-        return psi * (1.0 / (4.0 * om) - e / (2.0 * hbar))
-
-    return _masked(arg, build)
+    return np.where(live, pref * np.exp(-omega * e / (2.0 * hbar)), 0.0), e
 
 
 def morse_g_ll(lam: float, omega: float, hbar: float = 1.0) -> float:
@@ -373,19 +341,19 @@ def morse_like(hbar: float = 1.0) -> ModelSpec:
     def metric_det(lamv, x):
         lam = lamv[0]
         expo = -lam * np.asarray(x, dtype=float)
-        out = np.full(expo.shape, np.inf)
-        mask = expo < 700.0
-        out[mask] = _at(lam * lam / 4.0, mask) * np.exp(expo[mask])
+        return np.where(expo < 700.0, lam * lam / 4.0 * np.exp(np.minimum(expo, 700.0)),
+                        np.inf)
+
+    def log_det_grad(lamv, x):
+        out = np.zeros((2,) + _node_shape(lamv, x))
+        out[0] = 2.0 / lamv[0] - np.asarray(x, dtype=float)
         return out
 
     metric = MetricFamily(
         dim=1,
         eval=lambda lamv, x: metric_det(lamv, x)[..., None, None],
         det=metric_det,
-        analytic_log_det_grad=lambda lamv, rho, x: (
-            2.0 / lamv[0] - np.asarray(x, dtype=float) if rho == 0
-            else np.zeros(_node_shape(lamv, x))
-        ),
+        analytic_log_det_grad=log_det_grad,
         broadcasts=True,
     )
 
@@ -395,16 +363,16 @@ def morse_like(hbar: float = 1.0) -> ModelSpec:
     def psi_eval(lamv, n, x):
         if not only_ground(n):
             raise EngineError("morse-like exposes the ground state only")
-        return _morse_psi(x, lamv[0], lamv[1], hbar) + 0j
+        return _morse(x, lamv[0], lamv[1], hbar)[0] + 0j
 
-    psi = WavefunctionFamily(
-        dim=1,
-        eval=psi_eval,
-        analytic_param_grad=lambda lamv, n, rho, x: _morse_dpsi(
-            x, lamv[0], lamv[1], hbar, "lam" if rho == 0 else "omega"
-        ) + 0j,
-        broadcasts=True,
-    )
+    def psi_grad(lamv, n, x):
+        lam, om = lamv
+        psi, e = _morse(x, lam, om, hbar)
+        return np.stack([psi * (om * np.asarray(x, dtype=float) * e / (2.0 * hbar)),
+                         psi * (1.0 / (4.0 * om) - e / (2.0 * hbar))])
+
+    psi = WavefunctionFamily(dim=1, eval=psi_eval, analytic_param_grad=psi_grad,
+                             broadcasts=True)
 
     # one Domain per lambda, so that the points of an omega sweep share it
     @functools.lru_cache(maxsize=64)
@@ -500,42 +468,7 @@ def coupled_ground_state(x, y, k1: float, k2: float, a: float, b: float,
     y = np.asarray(y, dtype=float)
     _, _, amp = _coupled_constants(k1, k2, hbar, ab_sign=a * b)
     arg, _, _ = _coupled_exponent(x, y, k1, k2, a, b, hbar)
-    return _masked(arg, lambda mask: amp * np.exp(arg[mask]))
-
-
-def _coupled_dpsi(x, y, lamv, rho, hbar):
-    k1, k2, a, b = lamv
-    wp, wm, amp = _coupled_constants(k1, k2, hbar, ab_sign=a * b)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    arg, up, um = _coupled_exponent(x, y, k1, k2, a, b, hbar)
-
-    def build(mask):
-        psi = amp * np.exp(arg[mask])
-        upm = np.broadcast_to(up, arg.shape)[mask]
-        umm = np.broadcast_to(um, arg.shape)[mask]
-        x2 = np.broadcast_to(np.square(x), arg.shape)[mask]
-        y2 = np.broadcast_to(np.square(y), arg.shape)[mask]
-        if rho in (0, 1):
-            dwp = 1.0 / (2.0 * wp) if rho == 0 else 0.0
-            dwm = 1.0 / (2.0 * wm) if rho == 0 else 1.0 / wm
-            if a * b > 0:
-                r = math.sqrt(wm / wp)
-                dr = 0.5 * r * (dwm / wm - dwp / wp)
-            else:
-                r = math.sqrt(wp / wm)
-                dr = 0.5 * r * (dwp / wp - dwm / wm)
-            datan = dr / (1.0 + r * r)
-            dlog_amp = 0.5 * (
-                0.5 * (dwp / wp + dwm / wm) - datan / math.atan(r)
-            )
-            dphi = (dwp * upm ** 2 + dwm * umm ** 2) / (2.0 * hbar)
-            return psi * (dlog_amp - dphi)
-        if rho == 2:
-            return -psi * (wp * upm + wm * umm) * x2 / (2.0 * math.sqrt(2.0) * hbar)
-        return -psi * (wp * upm - wm * umm) * y2 / (2.0 * math.sqrt(2.0) * hbar)
-
-    return _masked(arg, build)
+    return amp * np.exp(arg)
 
 
 def coupled_anharmonic_2d(hbar: float = 1.0) -> ModelSpec:
@@ -549,13 +482,10 @@ def coupled_anharmonic_2d(hbar: float = 1.0) -> ModelSpec:
         g[..., 1, 1] = gy
         return g
 
-    def log_det_grad(lamv, rho, x, y):
-        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-        if rho == 2:
-            return np.full(shape, 2.0 / lamv[2])
-        if rho == 3:
-            return np.full(shape, 2.0 / lamv[3])
-        return np.zeros(shape)
+    def log_det_grad(lamv, x, y):
+        out = np.zeros((4,) + np.broadcast_shapes(np.shape(x), np.shape(y)))
+        out[2], out[3] = 2.0 / lamv[2], 2.0 / lamv[3]
+        return out
 
     metric = MetricFamily(
         dim=2,
@@ -574,12 +504,28 @@ def coupled_anharmonic_2d(hbar: float = 1.0) -> ModelSpec:
             raise EngineError("coupled-anharmonic-2d exposes the ground state only")
         return coupled_ground_state(x, y, *lamv, hbar=hbar) + 0j
 
-    psi = WavefunctionFamily(
-        dim=2,
-        eval=psi_eval,
-        analytic_param_grad=lambda lamv, n, rho, x, y: _coupled_dpsi(
-            x, y, lamv, rho, hbar) + 0j,
-    )
+    def psi_grad(lamv, n, x, y):
+        k1, k2, a, b = lamv
+        wp, wm, amp = _coupled_constants(k1, k2, hbar, ab_sign=a * b)
+        arg, up, um = _coupled_exponent(x, y, k1, k2, a, b, hbar)
+        sign = 1.0 if a * b > 0 else -1.0
+        r = math.sqrt(wm / wp) if sign > 0 else math.sqrt(wp / wm)
+
+        def d_log_psi(dwp, dwm):
+            """d ln psi when the frequencies move by (dwp, dwm): through the
+            normalization, whose arctan takes r, and through the exponent."""
+            dr = 0.5 * sign * r * (dwm / wm - dwp / wp)
+            dlog_amp = 0.5 * (0.5 * (dwp / wp + dwm / wm) - dr / (1.0 + r * r) / math.atan(r))
+            return dlog_amp - (dwp * up ** 2 + dwm * um ** 2) / (2.0 * hbar)
+
+        c = 2.0 * math.sqrt(2.0) * hbar
+        x2, y2 = np.square(np.asarray(x, dtype=float)), np.square(np.asarray(y, dtype=float))
+        # k1 moves both frequencies and k2 only wm = sqrt(k1 + 2 k2)
+        return amp * np.exp(arg) * np.stack([
+            d_log_psi(1.0 / (2.0 * wp), 1.0 / (2.0 * wm)), d_log_psi(0.0, 1.0 / wm),
+            -(wp * up + wm * um) * x2 / c, -(wp * up - wm * um) * y2 / c])
+
+    psi = WavefunctionFamily(dim=2, eval=psi_eval, analytic_param_grad=psi_grad)
 
     domain = Domain.product(_squared_axis(), _squared_axis())
 
@@ -644,33 +590,28 @@ def generalized_anharmonic(hbar: float = 1.0) -> ModelSpec:
     def omega_of(lamv):
         return np.sqrt(lamv[2] - lamv[1] ** 2)
 
-    def phased(lamv, n, x):
-        """(u, x^4, quartic state without its phase, the phase)."""
+    def phased(lamv, n, x, dilation=False):
+        """(x^4, the :func:`_oscillator` value of the state without its
+        phase, the phase exp(-i b lam x^4 / (2 hbar)))."""
         lam, b, _ = lamv
         x = np.asarray(x, dtype=float)
-        u, x4 = _quartic_u(lam, x), x ** 4
-        base = _oscillator(u, omega_of(lamv), n[0], hbar)
-        return u, x4, base, np.exp(-1j * b * lam * x4 / (2.0 * hbar))
+        x4 = x ** 4
+        base = _oscillator(_quartic_u(lam, x), omega_of(lamv), n[0], hbar, dilation)
+        return x4, base, np.exp(-1j * b * lam * x4 / (2.0 * hbar))
 
     def psi_eval(lamv, n, x):
-        _, _, base, phase = phased(lamv, n, x)
+        _, base, phase = phased(lamv, n, x)
         return base * phase
 
-    def psi_grad(lamv, n, rho, x):
+    def psi_grad(lamv, n, x):
+        # omega = sqrt(c - b^2) moves with b and c, the phase with lam and b
         lam, b, _ = lamv
         om = omega_of(lamv)
-        u, x4, base, phase = phased(lamv, n, x)
-        if rho == 0:
-            coeffs = (0.0, 1.0 / (2.0 * lam))
-            dtheta = -b * x4 / (2.0 * hbar)
-        elif rho == 1:
-            coeffs = _omega_pair(om, -b / om)
-            dtheta = -lam * x4 / (2.0 * hbar)
-        else:
-            coeffs = _omega_pair(om, 1.0 / (2.0 * om))
-            dtheta = 0.0
-        dbase = _oscillator(u, om, n[0], hbar, *coeffs)
-        return (dbase + 1j * dtheta * base) * phase
+        x4, (base, dil), phase = phased(lamv, n, x, dilation=True)
+        d_om = _omega_derivative(base, dil, om)
+        theta = 1j * x4 / (2.0 * hbar) * base
+        return np.stack([dil / (2.0 * lam) - b * theta, -b / om * d_om - lam * theta,
+                         d_om / (2.0 * om)]) * phase
 
     psi = WavefunctionFamily(dim=1, eval=psi_eval, analytic_param_grad=psi_grad,
                              broadcasts=True)
@@ -752,14 +693,14 @@ def flat_oscillator_1d(hbar: float = 1.0) -> ModelSpec:
         dim=1,
         eval=lambda lamv, x: np.ones(_node_shape(lamv, x))[..., None, None],
         det=lambda lamv, x: np.ones(_node_shape(lamv, x)),
-        analytic_log_det_grad=lambda lamv, rho, x: np.zeros(_node_shape(lamv, x)),
+        analytic_log_det_grad=lambda lamv, x: np.zeros((1,) + _node_shape(lamv, x)),
         broadcasts=True,
     )
     psi = WavefunctionFamily(
         dim=1,
-        eval=lambda lamv, n, x: _oscillator(x, lamv[0], n[0], hbar) + 0j,
-        analytic_param_grad=lambda lamv, n, rho, x: _oscillator(
-            x, lamv[0], n[0], hbar, *_omega_pair(lamv[0])) + 0j,
+        eval=lambda lamv, n, x: _oscillator(x, lamv[0], n[0], hbar, dilation=False) + 0j,
+        analytic_param_grad=lambda lamv, n, x: _omega_derivative(
+            *_oscillator(x, lamv[0], n[0], hbar), lamv[0])[None],
         broadcasts=True,
     )
     domain = Domain.full_line()

@@ -64,8 +64,9 @@ class QuadratureConfig:
     max_levels: int = 10
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        # NaN fails every comparison, so it is refused with infinity
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
         if self.max_levels < _FIRST_STOP:

@@ -57,10 +57,9 @@ def expanded_brackets(eng, lam, n):
 
     def columns(p, *axes):
         psi = np.asarray(eng.psi.eval(p, n, *axes))
-        dpsi = [d_psi(eng.psi, n, p, r, fd, *axes, in_domain=in_domain) for r in range(m)]
-        sigma = [-d_log_det_g(eng.metric, p, r, fd, *axes, in_domain=in_domain)
-                 for r in range(m)]
-        return [psi, *dpsi, *(s * psi for s in sigma)]
+        dpsi = d_psi(eng.psi, n, p, fd, *axes, in_domain=in_domain)
+        sigma = -d_log_det_g(eng.metric, p, fd, *axes, in_domain=in_domain)
+        return [psi, *dpsi, *(sigma * psi)]
 
     gram, _ = eng.bracket(lamv, columns)
     d, s = slice(1, m + 1), slice(m + 1, 2 * m + 1)

@@ -285,8 +285,8 @@ def test_sweep_failing_points_leave_their_batch_intact(runner, monkeypatch):
             raise EngineError("planted failure")
         return 1.001 * base.psi.eval(lamv, n, x)
 
-    def psi_grad(lamv, n, rho, x):
-        return 1.001 * base.psi.analytic_param_grad(lamv, n, rho, x)
+    def psi_grad(lamv, n, x):
+        return 1.001 * base.psi.analytic_param_grad(lamv, n, x)
 
     planted = dataclasses.replace(base, psi=dataclasses.replace(
         base.psi, eval=psi_eval, analytic_param_grad=psi_grad))

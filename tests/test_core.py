@@ -74,8 +74,8 @@ def test_validate_fails_a_mis_normalized_family(anharmonic):
     norm_deviation fails."""
     psi = dataclasses.replace(
         anharmonic.psi, eval=lambda lamv, n, x: 1.01 * anharmonic.psi.eval(lamv, n, x),
-        analytic_param_grad=lambda lamv, n, rho, x: 1.01 * anharmonic.psi.analytic_param_grad(
-            lamv, n, rho, x))
+        analytic_param_grad=lambda lamv, n, x: 1.01 * anharmonic.psi.analytic_param_grad(
+            lamv, n, x))
     with pytest.warns(NormalizationWarning, match="not normalized"):
         report = validate(psi, anharmonic.metric, anharmonic.domain_for,
                           [np.array([1.0, 1.0])], in_domain=anharmonic.in_domain)
@@ -135,7 +135,7 @@ def test_validate_rejects_asymmetric_metric(coupled):
 def test_validate_rejects_non_finite_sigma(anharmonic):
     metric = anharmonic.metric
     bad = dataclasses.replace(
-        metric, analytic_log_det_grad=lambda lamv, rho, x: np.full(np.shape(x), np.inf))
+        metric, analytic_log_det_grad=lambda lamv, x: np.full((2,) + np.shape(x), np.inf))
     with pytest.raises(MetricPositivityError, match="sigma_0 non-finite"):
         _validate_with_metric(anharmonic, bad)
 

@@ -30,7 +30,8 @@ def test_constant_in_parameter_derivative_is_zero():
         dim=1,
         eval=lambda lamv, n, x: np.exp(-np.asarray(x) ** 2 / 2.0) + 0j,
     )
-    d = d_psi(fam, (0,), np.array([1.0, 2.0]), 1, FdConfig(), np.array([0.3, 1.1]))
+    d = d_psi(fam, (0,), np.array([1.0, 2.0]), FdConfig(), np.array([0.3, 1.1]))
+    assert d.shape == (2, 2)
     assert np.max(np.abs(d)) < 1e-10
 
 
@@ -40,7 +41,7 @@ def test_quartic_ground_state_hand_derivative(anharmonic):
     x = np.array([1.0])
     psi0 = anharmonic.psi.eval(lam, (0,), x)
     expected = psi0 * (1.0 / 4.0 - 0.5)
-    analytic = d_psi(anharmonic.psi, (0,), lam, 1, FdConfig(), x)
+    analytic = d_psi(anharmonic.psi, (0,), lam, FdConfig(), x)[1]
     fd = _fd_psi(anharmonic.psi, (0,), lam, 1, FdConfig(), x,
                  in_domain=anharmonic.in_domain)
     assert abs(analytic[0] - expected[0]) < 1e-12
@@ -83,8 +84,9 @@ def test_analytic_grad_matches_fd_on_all_models(all_models, flat):
                 lamv = model.sample_parameters(rng)
                 axes = [rng.uniform(0.2, 1.6, size=20) * rng.choice([-1.0, 1.0], size=20)
                         for _ in range(model.dim)]
+                grad = d_psi(model.psi, n, lamv, cfg, *axes)
                 for rho in range(model.m):
-                    ana = d_psi(model.psi, n, lamv, rho, cfg, *axes)
+                    ana = grad[rho]
                     fd = _fd_psi(model.psi, n, lamv, rho, cfg, *axes,
                                  in_domain=model.in_domain)
                     scale = np.max(np.abs(ana)) + 1e-12
@@ -117,12 +119,11 @@ def test_sigma_two_route_identity(all_models):
         for _ in range(4):
             lamv = model.sample_parameters(rng)
             axes = [rng.uniform(0.3, 1.5, size=25) for _ in range(model.dim)]
-            for rho in range(model.m):
-                s1 = -d_log_det_g(model.metric, lamv, rho, cfg, *axes,
-                                  in_domain=model.in_domain)
-                s2 = sigma_from_contraction(model.metric, lamv, rho, cfg, *axes,
-                                            in_domain=model.in_domain)
-                assert np.max(np.abs(s1 - s2)) < 1e-8, (model.name, rho)
+            s1 = -d_log_det_g(model.metric, lamv, cfg, *axes, in_domain=model.in_domain)
+            s2 = sigma_from_contraction(model.metric, lamv, cfg, *axes,
+                                        in_domain=model.in_domain)
+            assert s2.shape == (model.m, 25)
+            assert np.max(np.abs(s1 - s2)) < 1e-8, model.name
 
 
 def test_step_scales_with_parameter():
@@ -134,6 +135,9 @@ def test_step_scales_with_parameter():
 def test_config_validation():
     with pytest.raises(ValueError):
         FdConfig(base_step=0.0)
+    for step in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            FdConfig(base_step=step)
     with pytest.raises(ValueError):
         FdConfig(scheme="upwind")
     with pytest.raises(ValueError):

@@ -69,7 +69,7 @@ def _two_parameter_flat_family():
         dim=1,
         eval=lambda lamv, x: np.ones(np.shape(x))[..., None, None],
         det=lambda lamv, x: np.ones(np.shape(x)),
-        analytic_log_det_grad=lambda lamv, rho, x: np.zeros(np.shape(x)),
+        analytic_log_det_grad=lambda lamv, x: np.zeros((2,) + np.shape(x)),
     )
 
     def ev(lamv, n, x):

@@ -99,7 +99,7 @@ def test_connection_gauge_shift(anharmonic, engine_factory):
     base = engine_factory(anharmonic, lam).berry_connection(lam, (0,))
     shifted_family = geo.gauge_transform(
         anharmonic.psi, lambda lv: lv[0] ** 2,
-        alpha_grad=lambda lv, rho: 2.0 * lv[0] if rho == 0 else 0.0,
+        alpha_grad=lambda lv: np.array([2.0 * lv[0], 0.0]),
     )
     eng = geo.GeometryEngine(shifted_family, anharmonic.metric,
                              anharmonic.domain_for(lam),
@@ -169,12 +169,25 @@ def test_gamma_anharmonic_ground(engine_factory, anharmonic):
     assert np.max(np.abs(G - 0.125)) < 1e-8
 
 
+def test_log_det_gradient_missing_a_partial_raises(anharmonic):
+    """A metric gradient with one partial for two parameters fails loudly
+    instead of assembling a 1 x 1 tensor."""
+    short = dataclasses.replace(
+        anharmonic.metric, broadcasts=False,
+        analytic_log_det_grad=lambda lamv, x: anharmonic.metric.analytic_log_det_grad(
+            lamv, x)[:1])
+    lam = np.array([1.0, 1.0])
+    eng = geo.GeometryEngine(anharmonic.psi, short, anharmonic.domain_for(lam))
+    with pytest.raises(ValueError, match="shorter"):
+        eng.qgt(lam, (0,))
+
+
 def test_gamma_zero_for_constant_family():
     metric = MetricFamily(
         dim=1,
         eval=lambda lamv, x: np.ones(np.shape(x))[..., None, None],
         det=lambda lamv, x: np.ones(np.shape(x)),
-        analytic_log_det_grad=lambda lamv, rho, x: np.zeros(np.shape(x)),
+        analytic_log_det_grad=lambda lamv, x: np.zeros((1,) + np.shape(x)),
     )
     fam = WavefunctionFamily(
         dim=1,
@@ -310,10 +323,10 @@ def test_gauge_invariance_random_phases(generalized):
             return c[0] * lv[0] ** 2 + c[1] * lv[1] + c[2] * lv[2] ** 2 \
                 + c[3] * lv[0] * lv[2]
 
-        def alpha_grad(lv, rho, c=c):
-            return (2 * c[0] * lv[0] + c[3] * lv[2],
-                    c[1],
-                    2 * c[2] * lv[2] + c[3] * lv[0])[rho]
+        def alpha_grad(lv, c=c):
+            return np.array([2 * c[0] * lv[0] + c[3] * lv[2],
+                             c[1],
+                             2 * c[2] * lv[2] + c[3] * lv[0]])
 
         fam = geo.gauge_transform(generalized.psi, alpha, alpha_grad)
         eng = geo.GeometryEngine(fam, generalized.metric,
@@ -323,13 +336,13 @@ def test_gauge_invariance_random_phases(generalized):
         assert np.max(np.abs(t.qmt - base.qmt)) < 1e-7
         assert np.max(np.abs(t.berry_curvature - base.berry_curvature)) < 1e-7
         assert np.max(np.abs(t.qgt - base.qgt)) < 1e-7
-        grad = np.array([alpha_grad(lam, r) for r in range(3)])
+        grad = alpha_grad(lam)
         assert np.max(np.abs(t.berry_connection - base.berry_connection - grad)) < 1e-8
 
 
 def test_gauge_identity_transform(anharmonic):
     fam = geo.gauge_transform(anharmonic.psi, lambda lv: 0.0,
-                              alpha_grad=lambda lv, rho: 0.0)
+                              alpha_grad=lambda lv: np.zeros(2))
     lam = np.array([1.0, 1.0])
     x = np.linspace(0.1, 2.0, 7)
     assert np.allclose(fam.eval(lam, (0,), x),
@@ -432,7 +445,7 @@ def test_reparameterize_singular_jacobian(anharmonic):
     psi2, _ = geo.reparameterize(anharmonic.psi, anharmonic.metric,
                                  lambda lp: lp, lambda lp: np.zeros((2, 2)))
     with pytest.raises(EngineError, match="singular"):
-        psi2.analytic_param_grad(np.array([1.0, 1.0]), (0,), 0, np.array([1.0]))
+        psi2.analytic_param_grad(np.array([1.0, 1.0]), (0,), np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -504,22 +517,6 @@ def test_connection_along_matches_full_connection(generalized, engine_factory):
         assert abs(along - beta @ delta) < 1e-14
 
 
-def test_loop_samples_only_the_segment_direction(generalized):
-    """Edges along b and c never differentiate in lambda."""
-    rhos = set()
-
-    def grad(lamv, n, rho, *axes):
-        rhos.add(rho)
-        return generalized.psi.analytic_param_grad(lamv, n, rho, *axes)
-
-    psi = WavefunctionFamily(dim=1, eval=generalized.psi.eval, analytic_param_grad=grad)
-    loop = [np.array([1.0, -0.3, 0.9]), np.array([1.0, 0.3, 0.9]),
-            np.array([1.0, 0.3, 1.4]), np.array([1.0, -0.3, 1.4])]
-    geo.berry_phase_loop(psi, generalized.metric, generalized.domain_for(loop[0]),
-                         loop, (0,), in_domain=generalized.in_domain)
-    assert rhos == {1, 2}
-
-
 def test_loop_with_diagonal_edges_matches_full_connection(generalized):
     """A polygon whose edges move several parameters at once gives the phase
     of the full connection contracted with each edge, on the same GK rule."""
@@ -568,15 +565,15 @@ def _boosted_gaussian():
         dim=1,
         eval=lambda lamv, x: np.ones(np.shape(x))[..., None, None],
         det=lambda lamv, x: np.ones(np.shape(x)),
-        analytic_log_det_grad=lambda lamv, rho, x: np.zeros(np.shape(x)),
+        analytic_log_det_grad=lambda lamv, x: np.zeros((2,) + np.shape(x)),
     )
 
     def psi(lamv, n, x):
         a, b = lamv
         return np.pi ** -0.25 * np.exp(-0.5 * (x - a) ** 2 + 1j * b * x)
 
-    def grad(lamv, n, rho, x):
-        return ((x - lamv[0]) if rho == 0 else 1j * x) * psi(lamv, n, x)
+    def grad(lamv, n, x):
+        return np.stack([x - lamv[0], 1j * x]) * psi(lamv, n, x)
 
     return WavefunctionFamily(dim=1, eval=psi, analytic_param_grad=grad), metric
 
@@ -660,8 +657,8 @@ def test_loop_warns_for_each_mis_normalized_point(generalized):
     """A stack warns once per point whose <psi|psi> is off 1, naming it."""
     scaled = WavefunctionFamily(
         dim=1, eval=lambda lamv, n, x: 1.01 * generalized.psi.eval(lamv, n, x),
-        analytic_param_grad=lambda lamv, n, rho, x: 1.01 * generalized.psi.analytic_param_grad(
-            lamv, n, rho, x))
+        analytic_param_grad=lambda lamv, n, x: 1.01 * generalized.psi.analytic_param_grad(
+            lamv, n, x))
     with pytest.warns(NormalizationWarning) as record:
         geo.berry_phase_loop(scaled, generalized.metric,
                              generalized.domain_for(_BC_RECTANGLE[0]), _BC_RECTANGLE,
@@ -701,8 +698,8 @@ def _stack_gram(model, psi, metric, stack, n):
     def columns(p, x):
         shapes.add(p.shape)
         state = psi.eval(p, n, x)
-        return [state, *(psi.analytic_param_grad(p, n, r, x) for r in rs),
-                *(-metric.analytic_log_det_grad(p, r, x) * state for r in rs)]
+        return [state, *psi.analytic_param_grad(p, n, x),
+                *(-metric.analytic_log_det_grad(p, x) * state)]
 
     return eng.bracket(stack, columns)[0], shapes
 
@@ -800,11 +797,10 @@ def test_broadcast_stack_with_a_non_positive_det_raises(anharmonic):
         shapes.add(np.shape(lamv))
         return (lamv[1] - 1.05) * anharmonic.metric.det(lamv, x)
 
-    def log_det_grad(lamv, rho, x):
-        if rho == 0:
-            return anharmonic.metric.analytic_log_det_grad(lamv, rho, x)
-        return np.full(np.broadcast_shapes(np.shape(lamv[1]), np.shape(x)),
-                       1.0 / (lamv[1] - 1.05))
+    def log_det_grad(lamv, x):
+        grad = anharmonic.metric.analytic_log_det_grad(lamv, x)
+        grad[1] = 1.0 / (lamv[1] - 1.05)
+        return grad
 
     metric = MetricFamily(dim=1, eval=lambda lamv, x: det(lamv, x)[..., None, None],
                           det=det, analytic_log_det_grad=log_det_grad, broadcasts=True)

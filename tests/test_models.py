@@ -1,10 +1,13 @@
+import collections
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
 
-from curvedqgt import models
+from curvedqgt import geometry, models
 from curvedqgt.core import NoAnalyticReferenceError, ParameterBoundaryError
 from curvedqgt.models import (
     coupled_ground_state,
@@ -56,6 +59,94 @@ def test_hbar_scaling():
     assert np.max(np.abs(G - 0.125)) < 1e-8
     E = models.analytic_reference(m, "energy", 1, lam)
     assert E == pytest.approx(3.0)
+
+
+# ---------------------------------------------------------------------------
+# The family protocol: one call returns every partial
+# ---------------------------------------------------------------------------
+
+def _protocol_nodes(dim):
+    """Nodes on both signs of each coordinate: ``(7,)`` in 1-D and a
+    ``(7, 5)`` product in 2-D."""
+    x = np.linspace(-1.5, 1.4, 7)
+    return (x,) if dim == 1 else (x[:, None], np.linspace(0.2, 1.3, 5)[None, :])
+
+
+@pytest.mark.parametrize("name", models.available_models())
+def test_gradients_stack_every_partial(name):
+    """At one point the state gradient is ``(m, *nodes)`` and the log-det
+    gradient has a leading m axis that broadcasts against the nodes; a
+    family that broadcasts takes a stack of P points and returns
+    ``(m, P, *nodes)``, each point's slice equal to its own gradient."""
+    model = models.get_model(name)
+    rng = np.random.default_rng(29)
+    axes, n = _protocol_nodes(model.dim), (0,) * model.dim
+    nodes = np.broadcast_shapes(*(np.shape(a) for a in axes))
+    lamv = model.sample_parameters(rng)
+    assert model.psi.analytic_param_grad(lamv, n, *axes).shape == (model.m, *nodes)
+    sigma = model.metric.analytic_log_det_grad(lamv, *axes)
+    assert sigma.shape[0] == model.m
+    assert np.broadcast_shapes(sigma.shape[1:], nodes) == nodes
+    if not model.psi.broadcasts:
+        return
+    stack = np.array([model.sample_parameters(rng) for _ in range(3)])
+    p = stack.T.reshape(model.m, 3, 1)
+    grads = (model.psi.analytic_param_grad(p, n, *axes),
+             np.broadcast_to(model.metric.analytic_log_det_grad(p, *axes),
+                             (model.m, 3, *nodes)))
+    assert grads[0].shape == (model.m, 3, *nodes)
+    for i, point in enumerate(stack):
+        alone = (model.psi.analytic_param_grad(point, n, *axes),
+                 model.metric.analytic_log_det_grad(point, *axes))
+        for stacked, solo in zip(grads, alone):
+            np.testing.assert_allclose(stacked[:, i], np.broadcast_to(solo, stacked[:, i].shape),
+                                       rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("name", models.available_models())
+def test_one_gradient_call_per_integrand_call(name, monkeypatch):
+    """A qgt evaluates each family gradient once per integrand call, not
+    once per parameter."""
+    model = models.get_model(name)
+    calls = collections.Counter()
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    real_integrate = geometry._integrate
+    monkeypatch.setattr(geometry, "_integrate", lambda f, domain, quad: real_integrate(
+        counted("integrand", f), domain, quad))
+    psi = dataclasses.replace(
+        model.psi, analytic_param_grad=counted("psi", model.psi.analytic_param_grad))
+    metric = dataclasses.replace(
+        model.metric, analytic_log_det_grad=counted("metric", model.metric.analytic_log_det_grad))
+    lamv = model.sample_parameters(np.random.default_rng(31))
+    geometry.GeometryEngine(psi, metric, model.domain_for(lamv),
+                            in_domain=model.in_domain).qgt(lamv, (0,) * model.dim)
+    assert calls["integrand"] > 0
+    assert calls["psi"] == calls["metric"] == calls["integrand"]
+
+
+@pytest.mark.parametrize("name", ["anharmonic-1d", "generalized-anharmonic",
+                                  "flat-oscillator-1d"])
+@pytest.mark.parametrize("x", [1e30, 1e60])
+def test_hermite_kernel_is_zero_where_the_envelope_underflows(name, x):
+    """Far out, e^(-z^2/2) underflows and the degree-12 Hermite recurrence
+    would overflow: the kernel zeroes z there first, so the state and its
+    gradient are exactly zero and no floating-point warning is raised."""
+    model = models.get_model(name)
+    lamv = model.sample_parameters(np.random.default_rng(37))
+    nodes = np.array([-x, x])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        psi = model.psi.eval(lamv, (12,), nodes)
+        grad = model.psi.analytic_param_grad(lamv, (12,), nodes)
+    assert grad.shape == (model.m, 2)
+    for values in (psi, grad):
+        assert np.all(np.isfinite(values)) and not np.any(values)
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +310,11 @@ def test_morse_stack_with_different_underflow_masks_matches_points(morse):
     lam = stack.T.reshape(2, 3, 1)
     calls = [
         lambda p: morse.psi.eval(p, (0,), x),
-        lambda p: morse.psi.analytic_param_grad(p, (0,), 0, x),
-        lambda p: morse.psi.analytic_param_grad(p, (0,), 1, x),
+        lambda p: morse.psi.analytic_param_grad(p, (0,), x)[0],
+        lambda p: morse.psi.analytic_param_grad(p, (0,), x)[1],
         lambda p: morse.metric.det(p, x),
-        lambda p: morse.metric.analytic_log_det_grad(p, 0, x),
-        lambda p: morse.metric.analytic_log_det_grad(p, 1, x),
+        lambda p: morse.metric.analytic_log_det_grad(p, x)[0],
+        lambda p: morse.metric.analytic_log_det_grad(p, x)[1],
     ]
     for call in calls:
         out = call(lam)

@@ -210,6 +210,13 @@ def test_nan_integrand_reports_location():
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
+    # NaN would run every level and then fail to converge, infinity would
+    # stop at the first level whatever the error: both are refused up front
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            QuadratureConfig(rel_tol=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            QuadratureConfig(abs_tol=bad)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=0)
 
