@@ -234,8 +234,8 @@ def _parse_quantities(text, model, default=("qmt", "berry_curvature",
 # ---------------------------------------------------------------------------
 
 def _point_records(model, points, n, quantities, cfg):
-    """Records at parameter points that share one ``model.domain_for``: one
-    Gram stack for several points, the single-point path for one."""
+    """Records at parameter points that share one ``model.domain_for``,
+    from one Gram stack."""
     for lamv in points:
         if not model.check_in_domain(lamv):
             raise EngineError(
@@ -246,9 +246,8 @@ def _point_records(model, points, n, quantities, cfg):
         model.psi, model.metric, model.domain_for(points[0]), cfg,
         in_domain=model.in_domain,
     )
-    stack = engine.qgt(np.array(points), n) if len(points) > 1 else [engine.qgt(points[0], n)]
     records = []
-    for lamv, tensors in zip(points, stack):
+    for lamv, tensors in zip(points, engine.qgt(np.array(points), n)):
         rec = {"params": dict(zip(model.parameter_names, map(float, lamv))),
                "n": list(n),
                "config": {"hbar": model.hbar, "quad_rel_tol": cfg.quad.rel_tol,
@@ -470,14 +469,13 @@ def cmd_sweep(model_name, hbar, quad_rel_tol, fd_step, jobs, fmt, out,
     shape = tuple(grids[nm].size for nm in swept)
     # consecutive points in one domain object form a batch, one Gram stack;
     # batches do not depend on --jobs, so neither do the rows
-    stacks = model.psi.broadcasts and model.metric.broadcasts
     batches, last = [], False
     for multi in np.ndindex(*shape) if shape else [()]:
         values = dict(fixed)
         for nm, i in zip(swept, multi):
             values[nm] = float(grids[nm][i])
         lam_values = tuple(values[nm] for nm in model.parameter_names)
-        domain = stacks and model.check_in_domain(lam_values) and model.domain_for(lam_values)
+        domain = model.check_in_domain(lam_values) and model.domain_for(lam_values)
         if domain and domain is last and len(batches[-1]) < SWEEP_BATCH:
             batches[-1].append(lam_values)
         else:

@@ -42,6 +42,7 @@ __all__ = [
     "LruCache",
     "MetricFamily",
     "WavefunctionFamily",
+    "over_points",
     "AxisTransform",
     "Axis",
     "Domain",
@@ -228,7 +229,7 @@ class MetricFamily:
     shape ``(P, 1, ..., 1)`` with one 1 per node axis, and return
     ``(P, *nodes)`` (``eval`` adds its two metric axes, the gradient puts
     its m axis first); ``det_at`` and ``sqrt_det`` pass such a stack
-    through.
+    through, and :func:`over_points` hands it one.
     """
 
     dim: int
@@ -282,15 +283,29 @@ class WavefunctionFamily:
     once.  ``broadcasts`` declares that both also take a stack of P
     points, ``lam[r]`` of shape ``(P, 1, ..., 1)`` with one 1 per node
     axis, and return ``(P, *nodes)``, behind the m axis for the gradient;
-    a stacked bracket then evaluates every point in one call (see
-    :meth:`GeometryEngine.bracket
-    <curvedqgt.geometry.GeometryEngine.bracket>`).
+    :func:`over_points` then samples a stack of brackets or overlaps in
+    one call.  Every registry family broadcasts; a family without the flag
+    is sampled point by point.
     """
 
     dim: int
     eval: Callable
     analytic_param_grad: Optional[Callable] = None
     broadcasts: bool = False
+
+
+def over_points(fn: Callable, points: np.ndarray, axes, broadcasts: bool) -> np.ndarray:
+    """The k columns ``fn(p, *axes)`` of each point of a stack ``(P, m)``,
+    stacked ``(P, k, *nodes)``.  A ``broadcasts`` family is called once for
+    a stack of several points, with ``p[r]`` of shape ``(P, 1, ..., 1)``,
+    one 1 per node axis; any other family, and a single point, point by
+    point with ``p`` of shape ``(m,)``."""
+    if broadcasts and len(points) > 1:
+        nodes = np.broadcast_shapes(*(np.shape(a) for a in axes))
+        p = points.T.reshape(points.shape[::-1] + (1,) * len(nodes))
+        return np.stack(np.broadcast_arrays(*fn(p, *axes)), axis=1)
+    cols = [np.stack(np.broadcast_arrays(*fn(p, *axes))) for p in points]
+    return cols[0][None] if len(cols) == 1 else np.stack(np.broadcast_arrays(*cols))
 
 
 # ---------------------------------------------------------------------------

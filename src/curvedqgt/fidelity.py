@@ -11,8 +11,9 @@ displacement stencils, extracts the quadratic coefficient, and
 Richardson-extrapolates the step-size series.  That makes it an
 independent cross-check of the bracket-assembled metric.  The overlaps
 of F0 and every stencil point are one stack, integrated once on shared
-nodes with its own integrand; no code is shared with the brackets
-beyond the quadrature driver.
+nodes with its own integrand; it shares with the brackets only the
+quadrature driver and the adapter that samples a stack of points,
+:func:`~curvedqgt.core.over_points`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .core import (
     FitResidualError,
     WavefunctionFamily,
     as_quantum_number,
+    over_points,
     param_values,
 )
 from .geometry import EngineConfig
@@ -81,27 +83,22 @@ def overlap(psi: WavefunctionFamily, metric: MetricFamily, domain: Domain,
     ``lam_shifted`` is one point l' ``(m,)``, giving one value and one
     error, or a stack ``(P, m)``, giving ``(P,)`` of each from one
     integration on shared nodes that stops once every overlap is within
-    tolerance.  When both families broadcast over points, each integrand
-    call samples l and the whole stack in one family call; otherwise it
-    samples the points in turn.
+    tolerance.  Each integrand call samples l and the whole stack through
+    :func:`~curvedqgt.core.over_points`: in one family call when both
+    families broadcast over points, point by point otherwise.
     """
     cfg = cfg or EngineConfig()
     lamv = param_values(lam)
     shifted = np.asarray(lam_shifted, dtype=float)
     points = np.vstack([lamv, shifted.reshape(-1, lamv.size)])
     n = as_quantum_number(n)
-    stacked = psi.broadcasts and metric.broadcasts
+    broadcasts = psi.broadcasts and metric.broadcasts
 
-    def weighted(p, axes):
-        return metric.quarter_root_det(p, *axes) * np.asarray(psi.eval(p, n, *axes))
+    def weighted(p, *axes):
+        return [metric.quarter_root_det(p, *axes) * np.asarray(psi.eval(p, n, *axes))]
 
     def f(*axes):
-        if stacked:
-            # l and every l' at once: p[r] is (P + 1, 1, ..., 1)
-            nodes = np.broadcast_shapes(*(np.shape(a) for a in axes))
-            phi = weighted(points.T.reshape(points.shape[::-1] + (1,) * len(nodes)), axes)
-        else:
-            phi = np.stack(np.broadcast_arrays(*(weighted(p, axes) for p in points)))
+        phi = over_points(weighted, points, axes, broadcasts)[:, 0]
         return np.conj(phi[1:]) * phi[0]
 
     if domain.dim == 1:

@@ -30,9 +30,10 @@ three family calls: psi, the gradient [d_r psi] and the gradient
 bracket also takes a stack of points and integrates all their Grams in
 one pass over shared nodes; a loop hands it the points of one
 Gauss-Kronrod panel at a time, and a sweep a batch of grid points.
-When the state and the metric both broadcast over points (their
-``broadcasts`` flag) and differentiate analytically, those three calls
-sample the whole stack; any other family is sampled point by point.
+One adapter, :func:`~curvedqgt.core.over_points`, shared with the
+fidelity overlaps, samples a stack: in one call per family callable when
+the state and the metric both broadcast and differentiate analytically,
+and any other family, or a single point, point by point.
 Conventions:
 
     qmt              = Re(qgt)                  (symmetric)
@@ -59,6 +60,7 @@ from .core import (
     ParameterBoundaryError,
     WavefunctionFamily,
     as_quantum_number,
+    over_points,
     param_values,
 )
 from .diffops import FdConfig, d_log_det_g, d_psi, fd_derivative
@@ -186,11 +188,9 @@ class GeometryEngine:
         error matrix holds each entry's error estimate; both are ``(k, k)``
         for one point and ``(P, k, k)`` for a stack.  A stack takes one
         integration, and the rule stops once every entry of every point is
-        within tolerance.  When both families broadcast (see
-        :class:`~curvedqgt.core.WavefunctionFamily`), each integrand call
-        hands ``columns`` and ``sqrt_det`` the whole stack at once as
-        ``p[r]`` of shape ``(P, 1, ..., 1)``; otherwise it samples the
-        points in turn.  Either way the columns are contracted in one
+        within tolerance.  Each integrand call samples the columns, with
+        sqrt(sqrt(g)) folded into each, through
+        :func:`~curvedqgt.core.over_points`, and contracts them in one
         batched product.  Before any family call, a point outside
         ``in_domain`` raises :class:`ParameterBoundaryError` naming it.
         Each call integrates once and warns with
@@ -201,25 +201,17 @@ class GeometryEngine:
         """
         metric = self.metric
         points = lamv.reshape(-1, lamv.shape[-1])
-        stacked = (lamv.ndim > 1 and self.psi.broadcasts and metric.broadcasts
-                   and self.psi.analytic_param_grad is not None
-                   and metric.analytic_log_det_grad is not None)
+        broadcasts = (self.psi.broadcasts and metric.broadcasts
+                      and self.psi.analytic_param_grad is not None
+                      and metric.analytic_log_det_grad is not None)
 
-        def weighted(p, axes):
-            cols = np.stack(np.broadcast_arrays(*columns(p, *axes)))
-            return cols * np.sqrt(metric.sqrt_det(p, *axes))
+        def weighted(p, *axes):
+            cols = columns(p, *axes)
+            root = np.sqrt(metric.sqrt_det(p, *axes))
+            return [c * root for c in cols]
 
         def integrand(*axes):
-            if stacked:
-                # every point at once: p[r] is (P, 1, ..., 1), columns (P, k, *nodes)
-                nodes = np.broadcast_shapes(*(np.shape(a) for a in axes))
-                p = points.T.reshape(points.shape[::-1] + (1,) * len(nodes))
-                cols = np.stack(np.broadcast_arrays(*columns(p, *axes)), axis=1)
-                cols = cols * np.sqrt(metric.sqrt_det(p, *axes))[:, None]
-            else:
-                stack = [weighted(p, axes) for p in points]
-                cols = stack[0][None] if len(stack) == 1 else np.stack(np.broadcast_arrays(*stack))
-            return cols.view(GramColumns)
+            return over_points(weighted, points, axes, broadcasts).view(GramColumns)
 
         if self.in_domain is not None:
             for p in points:

@@ -428,28 +428,28 @@ def morse_like(hbar: float = 1.0) -> ModelSpec:
 # Coupled 2-D model
 # ---------------------------------------------------------------------------
 
-def _coupled_constants(k1: float, k2: float, hbar: float, ab_sign: float = 1.0):
-    """Normal-mode frequencies and normalization of the coupled ground state.
+def _coupled_constants(k1, k2, hbar: float, ab_sign=1.0):
+    """Normal-mode frequencies wp and wm, the arctan argument r and the
+    normalization of the coupled ground state.
 
-    For a b < 0 the mode built from a x^2/2 + b y^2/2 carries the other
-    frequency, which swaps the arctan argument of the normalization.
+    r = sqrt(wm/wp), except that for a b < 0 the mode built from
+    a x^2/2 + b y^2/2 carries the other frequency, which makes it
+    sqrt(wp/wm).  The parameters may be per-point arrays ``(P, 1, 1)``.
     """
-    wp = math.sqrt(k1)
-    wm = math.sqrt(k1 + 2.0 * k2)
-    ratio = wm / wp if ab_sign > 0 else wp / wm
-    amp2 = math.sqrt(wp * wm) / (4.0 * hbar * math.atan(math.sqrt(ratio)))
-    return wp, wm, math.sqrt(amp2)
+    wp = np.sqrt(k1)
+    wm = np.sqrt(k1 + 2.0 * k2)
+    r = np.sqrt(np.where(ab_sign > 0, wm / wp, wp / wm))
+    amp2 = np.sqrt(wp * wm) / (4.0 * hbar * np.arctan(r))
+    return wp, wm, r, np.sqrt(amp2)
 
 
-def _coupled_exponent(x, y, k1, k2, a, b, hbar):
-    wp, wm, _ = _coupled_constants(k1, k2, hbar)
+def _coupled_exponent(x, y, wp, wm, a, b, hbar):
     up = (a * np.square(x) / 2.0 + b * np.square(y) / 2.0) / math.sqrt(2.0)
     um = (a * np.square(x) / 2.0 - b * np.square(y) / 2.0) / math.sqrt(2.0)
     return -(wp * up * up + wm * um * um) / (2.0 * hbar), up, um
 
 
-def coupled_ground_state(x, y, k1: float, k2: float, a: float, b: float,
-                         hbar: float = 1.0):
+def coupled_ground_state(x, y, k1, k2, a, b, hbar: float = 1.0):
     """Normalized 2-D coupled ground state on the curved plane.
 
     The exponent carries the normal-mode frequencies: written in the
@@ -457,17 +457,18 @@ def coupled_ground_state(x, y, k1: float, k2: float, a: float, b: float,
     -w a^2 x^4/(8 hbar) - w b^2 y^4/(8 hbar) - beta a b x^2 y^2/(4 hbar)
     with w = (sqrt(k1) + sqrt(k1 + 2 k2))/2 and
     beta = (sqrt(k1) - sqrt(k1 + 2 k2))/2 < 0 for k2 > 0.  At k2 = 0 it
-    factorizes into two decoupled quartic-oscillator ground states.
+    factorizes into two decoupled quartic-oscillator ground states.  The
+    parameters may be per-point arrays ``(P, 1, 1)``, giving ``(P, *nodes)``.
     """
-    if not (k1 > 0 and k1 + 2.0 * k2 > 0 and a != 0 and b != 0):
+    if not np.all((k1 > 0) & (k1 + 2.0 * k2 > 0) & (a != 0) & (b != 0)):
         raise ParameterBoundaryError(
             f"coupled model needs k1 > 0, k1 + 2 k2 > 0, a != 0, b != 0; "
             f"got ({k1}, {k2}, {a}, {b})"
         )
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    _, _, amp = _coupled_constants(k1, k2, hbar, ab_sign=a * b)
-    arg, _, _ = _coupled_exponent(x, y, k1, k2, a, b, hbar)
+    wp, wm, _, amp = _coupled_constants(k1, k2, hbar, ab_sign=a * b)
+    arg, _, _ = _coupled_exponent(x, y, wp, wm, a, b, hbar)
     return amp * np.exp(arg)
 
 
@@ -483,7 +484,7 @@ def coupled_anharmonic_2d(hbar: float = 1.0) -> ModelSpec:
         return g
 
     def log_det_grad(lamv, x, y):
-        out = np.zeros((4,) + np.broadcast_shapes(np.shape(x), np.shape(y)))
+        out = np.zeros((4,) + np.broadcast_shapes(np.shape(lamv[0]), np.shape(x), np.shape(y)))
         out[2], out[3] = 2.0 / lamv[2], 2.0 / lamv[3]
         return out
 
@@ -494,6 +495,7 @@ def coupled_anharmonic_2d(hbar: float = 1.0) -> ModelSpec:
         * np.square(np.asarray(x, dtype=float))
         * np.square(np.asarray(y, dtype=float)),
         analytic_log_det_grad=log_det_grad,
+        broadcasts=True,
     )
 
     def only_ground(n):
@@ -506,16 +508,15 @@ def coupled_anharmonic_2d(hbar: float = 1.0) -> ModelSpec:
 
     def psi_grad(lamv, n, x, y):
         k1, k2, a, b = lamv
-        wp, wm, amp = _coupled_constants(k1, k2, hbar, ab_sign=a * b)
-        arg, up, um = _coupled_exponent(x, y, k1, k2, a, b, hbar)
-        sign = 1.0 if a * b > 0 else -1.0
-        r = math.sqrt(wm / wp) if sign > 0 else math.sqrt(wp / wm)
+        wp, wm, r, amp = _coupled_constants(k1, k2, hbar, ab_sign=a * b)
+        arg, up, um = _coupled_exponent(x, y, wp, wm, a, b, hbar)
+        sign = np.where(a * b > 0, 1.0, -1.0)
 
         def d_log_psi(dwp, dwm):
             """d ln psi when the frequencies move by (dwp, dwm): through the
             normalization, whose arctan takes r, and through the exponent."""
             dr = 0.5 * sign * r * (dwm / wm - dwp / wp)
-            dlog_amp = 0.5 * (0.5 * (dwp / wp + dwm / wm) - dr / (1.0 + r * r) / math.atan(r))
+            dlog_amp = 0.5 * (0.5 * (dwp / wp + dwm / wm) - dr / (1.0 + r * r) / np.arctan(r))
             return dlog_amp - (dwp * up ** 2 + dwm * um ** 2) / (2.0 * hbar)
 
         c = 2.0 * math.sqrt(2.0) * hbar
@@ -525,7 +526,8 @@ def coupled_anharmonic_2d(hbar: float = 1.0) -> ModelSpec:
             d_log_psi(1.0 / (2.0 * wp), 1.0 / (2.0 * wm)), d_log_psi(0.0, 1.0 / wm),
             -(wp * up + wm * um) * x2 / c, -(wp * up - wm * um) * y2 / c])
 
-    psi = WavefunctionFamily(dim=2, eval=psi_eval, analytic_param_grad=psi_grad)
+    psi = WavefunctionFamily(dim=2, eval=psi_eval, analytic_param_grad=psi_grad,
+                             broadcasts=True)
 
     domain = Domain.product(_squared_axis(), _squared_axis())
 
@@ -539,7 +541,7 @@ def coupled_anharmonic_2d(hbar: float = 1.0) -> ModelSpec:
     def ref_energy(n, lamv):
         if not only_ground(n):
             raise NoAnalyticReferenceError("coupled model energy known for (0,0) only")
-        wp, wm, _ = _coupled_constants(lamv[0], lamv[1], hbar)
+        wp, wm, _, _ = _coupled_constants(lamv[0], lamv[1], hbar)
         return 0.5 * hbar * (wp + wm)
 
     refs = {

@@ -326,12 +326,12 @@ def test_sweep_failing_points_leave_their_batch_intact(runner, monkeypatch):
     # Morse domains depend on lambda only, so an omega sweep shares one
     (["--model", "morse-like", "--lambda", "1", "--grid", "omega=0.6:1.7:20"],
      [(16, 2), (4, 2)]),
-    # ... and a lambda sweep does not
+    # ... and a lambda sweep does not: each point is a stack of one
     (["--model", "morse-like", "--omega", "1", "--grid", "lambda=0.6:1.7:2"],
-     [(2,), (2,)]),
-    # the coupled 2-D families do not broadcast over points
+     [(1, 2), (1, 2)]),
+    # 2-D sweeps batch like 1-D ones
     (["--model", "coupled-anharmonic-2d", "--k1", "1", "--a", "1", "--b", "1",
-      "--grid", "k2=0.1:0.3:2"], [(4,), (4,)]),
+      "--grid", "k2=0.1:0.3:2"], [(2, 4)]),
 ])
 def test_sweep_bracket_call_per_batch(runner, monkeypatch, args, shapes):
     from curvedqgt.geometry import GeometryEngine

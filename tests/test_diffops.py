@@ -94,6 +94,24 @@ def test_analytic_grad_matches_fd_on_all_models(all_models, flat):
             assert worst < 1e-7, f"{model.name} n = {n}: {worst:.2e}"
 
 
+
+def test_coupled_grad_matches_fd_on_both_signs_of_ab(coupled):
+    """FD and analytic derivatives agree on the coupled model at a < 0 and
+    at b < 0, where a b < 0 swaps the arctan argument of the normalization;
+    the sample window holds only a, b > 0."""
+    rng = np.random.default_rng(13)
+    cfg = FdConfig(base_step=1e-4, scheme="central-4")
+    axes = [rng.uniform(0.2, 1.6, size=20) * rng.choice([-1.0, 1.0], size=20)
+            for _ in range(2)]
+    for lamv in ([1.0, 0.5, 1.2, -1.4], [1.0, 0.5, -1.2, 1.4], [0.8, 0.3, -1.1, -0.9]):
+        lamv = np.array(lamv)
+        grad = d_psi(coupled.psi, (0, 0), lamv, cfg, *axes)
+        for rho in range(coupled.m):
+            fd = _fd_psi(coupled.psi, (0, 0), lamv, rho, cfg, *axes,
+                         in_domain=coupled.in_domain)
+            gap = np.max(np.abs(grad[rho] - fd)) / (np.max(np.abs(grad[rho])) + 1e-12)
+            assert gap < 1e-7, f"{lamv}, parameter {rho}: {gap:.2e}"
+
 def test_log_det_grad_examples(anharmonic, morse):
     cfg = FdConfig()
     x = np.array([0.7, 1.4])

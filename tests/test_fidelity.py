@@ -227,16 +227,26 @@ def test_stacked_overlap_matches_solo_overlaps(request, name):
         assert abs(val - solo) <= 1e-13 * abs(solo)
 
 
-@pytest.mark.parametrize("name", ["anharmonic", "generalized", "morse"])
-def test_stacked_overlap_point_by_point_matches_broadcast(request, name):
+# coupled points on both signs of a b, which swaps the arctan argument of
+# the normalization
+_MIXED_SIGN_STACK = ([1.0, 0.1, 1.5, 1.5], [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -3.0],
+                                            [0.0, 0.2, -3.0, 0.0], [0.1, 0.0, -2.9, -2.8]])
+
+
+@pytest.mark.parametrize("name,stack", [
+    *((name, _STACK_POINTS[name]) for name in ("anharmonic", "generalized", "morse", "coupled")),
+    ("coupled", _MIXED_SIGN_STACK)])
+def test_stacked_overlap_point_by_point_matches_broadcast(request, name, stack):
     """Families that do not broadcast are sampled in turn, to the same values."""
     model = request.getfixturevalue(name)
     assert model.psi.broadcasts and model.metric.broadcasts
-    lam, points, domain = _stack(model, name)
+    lam, shifts = stack
+    lam, n = np.array(lam), (0,) * model.dim
+    points, domain = lam + np.array(shifts), model.domain_for(lam)
     psi = dataclasses.replace(model.psi, broadcasts=False)
     metric = dataclasses.replace(model.metric, broadcasts=False)
-    ref, _ = fid.overlap(model.psi, model.metric, domain, lam, points, (0,))
-    vals, _ = fid.overlap(psi, metric, domain, lam, points, (0,))
+    ref, _ = fid.overlap(model.psi, model.metric, domain, lam, points, n)
+    vals, _ = fid.overlap(psi, metric, domain, lam, points, n)
     assert np.all(np.abs(vals - ref) <= 1e-15 * np.abs(ref))
 
 

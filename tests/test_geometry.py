@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 from curvedqgt import geometry as geo
-from curvedqgt import models
+from curvedqgt import models, quadrature
 from curvedqgt.core import (
     Domain,
     EngineError,
@@ -692,61 +692,72 @@ def _stack_gram(model, psi, metric, stack, n):
     the parameter shapes the columns were sampled at."""
     eng = geo.GeometryEngine(psi, metric, model.domain_for(stack[0]),
                              in_domain=model.in_domain)
-    rs = range(stack.shape[1])
     shapes = set()
 
-    def columns(p, x):
+    def columns(p, *axes):
         shapes.add(p.shape)
-        state = psi.eval(p, n, x)
-        return [state, *psi.analytic_param_grad(p, n, x),
-                *(-metric.analytic_log_det_grad(p, x) * state)]
+        state = psi.eval(p, n, *axes)
+        return [state, *psi.analytic_param_grad(p, n, *axes),
+                *(-metric.analytic_log_det_grad(p, *axes) * state)]
 
     return eng.bracket(stack, columns)[0], shapes
 
 
 _BROADCAST_STACKS = [
-    ("anharmonic-1d", [[1.0, 1.0], [1.2, 0.9], [0.8, 1.3]], 2),
-    ("morse-like", [[1.0, 1.0], [1.1, 0.9], [0.9, 1.2]], 0),
-    ("generalized-anharmonic", [[1.0, -0.2, 1.2], [1.1, 0.1, 1.0], [0.9, 0.3, 1.4]], 1),
-    ("flat-oscillator-1d", [[1.0], [1.5], [0.7]], 3),
+    ("anharmonic-1d", [[1.0, 1.0], [1.2, 0.9], [0.8, 1.3]], (2,)),
+    ("morse-like", [[1.0, 1.0], [1.1, 0.9], [0.9, 1.2]], (0,)),
+    ("generalized-anharmonic", [[1.0, -0.2, 1.2], [1.1, 0.1, 1.0], [0.9, 0.3, 1.4]], (1,)),
+    ("flat-oscillator-1d", [[1.0], [1.5], [0.7]], (3,)),
+    # both signs of a b, which swaps the arctan argument of the normalization
+    ("coupled-anharmonic-2d", [[1.0, 0.1, 1.5, 1.5], [1.2, 0.3, -1.3, 1.4],
+                               [0.9, 0.5, 1.1, -0.8], [1.1, 0.2, -1.2, -1.0]], (0, 0)),
 ]
 
 
 @pytest.mark.parametrize("name,stack,n", _BROADCAST_STACKS)
 def test_broadcast_stack_matches_per_point_stack(name, stack, n):
     """A registry family samples a stack in one call per column, and its
-    Grams equal those of the same family sampled point by point."""
+    Grams equal those of the same family sampled point by point; a stack
+    of one point is sampled at ``p`` of shape ``(m,)``."""
     model = models.get_model(name)
     stack = np.array(stack)
-    fast, fast_shapes = _stack_gram(model, model.psi, model.metric, stack, (n,))
+    fast, fast_shapes = _stack_gram(model, model.psi, model.metric, stack, n)
     slow, slow_shapes = _stack_gram(
         model, dataclasses.replace(model.psi, broadcasts=False),
-        dataclasses.replace(model.metric, broadcasts=False), stack, (n,))
-    m = stack.shape[1]
-    assert fast_shapes == {(m, 3, 1)} and slow_shapes == {(m,)}
-    assert fast.shape == slow.shape == (3, 2 * m + 1, 2 * m + 1)
+        dataclasses.replace(model.metric, broadcasts=False), stack, n)
+    (P, m), ones = stack.shape, (1,) * model.dim
+    assert fast_shapes == {(m, P, *ones)} and slow_shapes == {(m,)}
+    assert fast.shape == slow.shape == (P, 2 * m + 1, 2 * m + 1)
     assert np.max(np.abs(fast - slow)) <= 1e-15 * np.max(np.abs(slow))
+    one, one_shapes = _stack_gram(model, model.psi, model.metric, stack[:1], n)
+    assert one_shapes == {(m,)} and one.shape == (1, 2 * m + 1, 2 * m + 1)
 
 
 @pytest.mark.parametrize("name,stack,n", _BROADCAST_STACKS)
 def test_qgt_of_a_stack_matches_each_point(name, stack, n):
     """qgt and bracket_set take a stack (P, m): qgt returns one set of
     tensors per point, equal to that point's own to rounding, while a single
-    point keeps its types (float norm, err and quad_error)."""
+    point keeps its types (float norm, err and quad_error).  A stack's error
+    is no looser than the point's own, except that the 2-D product rule
+    drops one tail window for the whole stack and adds its mass, below
+    4 _TAIL_FRACTION abs_tol, to each of the (m + 1)^2 Gram entries."""
     model = models.get_model(name)
     stack = np.array(stack)
     eng = make_engine(model, stack[0])
-    stacked = eng.qgt(stack, (n,))
+    m = stack.shape[1]
+    slack = 1e-14 if model.dim == 1 else (
+        4 * quadrature._TAIL_FRACTION * eng.cfg.quad.abs_tol * (m + 1) ** 2)
+    stacked = eng.qgt(stack, n)
     assert len(stacked) == len(stack)
     for p, tensors in zip(stack, stacked):
-        solo = eng.qgt(p, (n,))
+        solo = eng.qgt(p, n)
         scale = np.max(np.abs(solo.qgt))
         assert np.max(np.abs(tensors.qgt - solo.qgt)) <= 1e-13 * scale
         assert np.max(np.abs(tensors.berry_connection - solo.berry_connection)) <= 1e-13 * scale
-        assert tensors.quad_error <= solo.quad_error + 1e-14
+        assert tensors.quad_error <= solo.quad_error + slack
         assert np.array_equal(tensors.fd_steps, solo.fd_steps)
     assert type(solo.quad_error) is float
-    one, many = eng.bracket_set(stack[0], (n,)), eng.bracket_set(stack, (n,))
+    one, many = eng.bracket_set(stack[0], n), eng.bracket_set(stack, n)
     assert type(one["norm"]) is float and type(one["err"]) is float
     assert many["norm"].shape == many["err"].shape == (len(stack),)
 

@@ -75,8 +75,8 @@ def _protocol_nodes(dim):
 @pytest.mark.parametrize("name", models.available_models())
 def test_gradients_stack_every_partial(name):
     """At one point the state gradient is ``(m, *nodes)`` and the log-det
-    gradient has a leading m axis that broadcasts against the nodes; a
-    family that broadcasts takes a stack of P points and returns
+    gradient has a leading m axis that broadcasts against the nodes; every
+    registry family broadcasts, so it takes a stack of P points and returns
     ``(m, P, *nodes)``, each point's slice equal to its own gradient."""
     model = models.get_model(name)
     rng = np.random.default_rng(29)
@@ -87,10 +87,8 @@ def test_gradients_stack_every_partial(name):
     sigma = model.metric.analytic_log_det_grad(lamv, *axes)
     assert sigma.shape[0] == model.m
     assert np.broadcast_shapes(sigma.shape[1:], nodes) == nodes
-    if not model.psi.broadcasts:
-        return
     stack = np.array([model.sample_parameters(rng) for _ in range(3)])
-    p = stack.T.reshape(model.m, 3, 1)
+    p = stack.T.reshape(model.m, 3, *(1,) * len(nodes))
     grads = (model.psi.analytic_param_grad(p, n, *axes),
              np.broadcast_to(model.metric.analytic_log_det_grad(p, *axes),
                              (model.m, 3, *nodes)))
