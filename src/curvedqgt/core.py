@@ -273,10 +273,12 @@ class MetricFamily:
 
 @dataclass(frozen=True)
 class WavefunctionFamily:
-    """Complex amplitude psi_n(x, lambda) with optional analytic derivatives.
+    """Amplitude psi_n(x, lambda) with optional analytic derivatives.
 
-    ``eval(lam, n, *axes)`` returns complex amplitudes broadcast over the
-    axis arrays.  ``analytic_param_grad(lam, n, *axes)``, when present,
+    ``eval(lam, n, *axes)`` returns amplitudes broadcast over the axis
+    arrays, real or complex: a real family (and its gradient) may return
+    real values, and its brackets then integrate a real Gram in real
+    arithmetic.  ``analytic_param_grad(lam, n, *axes)``, when present,
     returns the whole gradient, d psi / d lambda_r for every r stacked
     ``(m, *values)``, and is used as the default derivative route; one
     call serves all m partials, so a family computes what they share

@@ -91,14 +91,15 @@ def d_psi(psi: WavefunctionFamily, n, lam, cfg: Optional[FdConfig] = None, *axes
 
     Returns the analytic gradient whenever the family supplies one, also
     for a stack of points on a broadcasting family, and otherwise central
-    differences in each parameter in turn.
+    differences in each parameter in turn, in the dtype of ``psi.eval``: a
+    real family keeps a real gradient.
     """
     n = as_quantum_number(n)
     lamv = lam if np.ndim(lam) > 1 else param_values(lam)
     if psi.analytic_param_grad is not None:
         return np.asarray(psi.analytic_param_grad(lamv, n, *axes))
     return np.stack([fd_derivative(
-        lambda p: np.asarray(psi.eval(p, n, *axes), dtype=complex),
+        lambda p: np.asarray(psi.eval(p, n, *axes)),
         lamv, rho, cfg, in_domain=in_domain) for rho in range(lamv.size)])
 
 

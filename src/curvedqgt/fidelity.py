@@ -99,7 +99,7 @@ def overlap(psi: WavefunctionFamily, metric: MetricFamily, domain: Domain,
 
     def f(*axes):
         phi = over_points(weighted, points, axes, broadcasts)[:, 0]
-        return np.conj(phi[1:]) * phi[0]
+        return phi[1:].conj() * phi[0]
 
     if domain.dim == 1:
         val, err = integrate(f, domain, cfg.quad)

@@ -20,10 +20,12 @@ integrand.  With w_r = <psi|v_r> and G[r,k] = <v_r|v_k>,
     qgt[r,k] = G[r,k] - conj(w_r) w_k,    beta_r = Im w_r,
 
 and Re w_r = Re<psi|d_r psi> - <sigma_r>/4 vanishes for a normalized
-family.  Each entry's error is its change over the last quadrature level,
-plus in 2-D the mass of the tails the product rule leaves unrefined.  A
-Berry loop needs only the connection along each segment delta, so it
-integrates the two-column Gram of [psi, v_delta], with
+family.  A real family has real columns and integrates a real Gram in
+real arithmetic, so its beta and curvature are exact zeros; only the qgt
+it returns is complex.  Each entry's error is its change over the last
+quadrature level, plus in 2-D the mass of the tails the product rule
+leaves unrefined.  A Berry loop needs only the connection along each
+segment delta, so it integrates the two-column Gram of [psi, v_delta], with
 v_delta = sum_r delta_r v_r.  At each integrand call the columns come from
 three family calls: psi, the gradient [d_r psi] and the gradient
 [d_r ln det g], each returning every parameter's partial at once.  A
@@ -112,8 +114,9 @@ def _qgt(br):
 
 
 def _real_connection(w):
-    """beta = Im w; warns when Re w, which vanishes for a normalized
-    family, exceeds ``CONNECTION_RESIDUE_WARN``."""
+    """beta = Im w, a new writable array (zeros for a real w); warns when
+    Re w, which vanishes for a normalized family, exceeds
+    ``CONNECTION_RESIDUE_WARN``."""
     residue = float(np.max(np.abs(np.real(w))))
     if residue > CONNECTION_RESIDUE_WARN:
         warnings.warn(
@@ -122,7 +125,7 @@ def _real_connection(w):
             ImaginaryResidueWarning,
             stacklevel=3,
         )
-    return np.imag(w)
+    return np.imag(w).copy()
 
 
 def assemble_tensors(br):
@@ -130,13 +133,14 @@ def assemble_tensors(br):
     :class:`GeometricTensors` for one point, a list of them for a stack.
 
     The one assembly formula of the QGT, qgt = G - conj(w)_r w_k, with
-    beta = Im w; no bracket is integrated here.
+    beta = Im w; no bracket is integrated here.  The qgt of a real Gram is
+    returned as complex too, so every family gives the same types.
     """
-    g, m = _qgt(br), br["w"].shape[-1]
+    g, m = _qgt(br).astype(complex, copy=False), br["w"].shape[-1]
     tensors = [
         GeometricTensors(qgt=gp, qmt=gp.real.copy(), berry_curvature=2.0 * gp.imag,
                          berry_connection=bp, quad_error=float(ep), fd_steps=hp)
-        for gp, bp, ep, hp in zip(g.reshape(-1, m, m), br["w"].imag.reshape(-1, m),
+        for gp, bp, ep, hp in zip(g.reshape(-1, m, m), br["w"].imag.reshape(-1, m).copy(),
                                   np.reshape(br["err"], -1), br["fd_steps"].reshape(-1, m))
     ]
     return tensors[0] if np.ndim(br["err"]) == 0 else tensors
@@ -254,9 +258,10 @@ class GeometryEngine:
         [psi, v_1 .. v_m], v_r = d_r psi - sigma_r psi / 4, integrated on
         shared nodes; a stack is one bracket call.  ``norm`` is <psi|psi>,
         ``w`` the row w_r = <psi|v_r> = <psi|d_r psi> - <sigma_r>/4 and
-        ``G`` the block G[r,k] = <v_r|v_k>.  ``gram_err`` holds the error of
-        each Gram entry and ``err`` their sum; ``norm`` and ``err`` are
-        floats for one point and arrays ``(P,)`` for a stack.
+        ``G`` the block G[r,k] = <v_r|v_k>, both real for a real family.
+        ``gram_err`` holds the error of each Gram entry and ``err`` their
+        sum; ``norm`` and ``err`` are floats for one point and arrays
+        ``(P,)`` for a stack.
         """
         lamv = param_values(lam) if np.ndim(lam) < 2 else np.asarray(lam, dtype=float)
         n = as_quantum_number(n)

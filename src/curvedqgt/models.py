@@ -267,7 +267,7 @@ def anharmonic_1d(hbar: float = 1.0) -> ModelSpec:
     psi = WavefunctionFamily(
         dim=1,
         eval=lambda lamv, n, x: _oscillator(
-            _quartic_u(lamv[0], x), lamv[1], n[0], hbar, dilation=False) + 0j,
+            _quartic_u(lamv[0], x), lamv[1], n[0], hbar, dilation=False),
         analytic_param_grad=psi_grad,
         broadcasts=True,
     )
@@ -363,7 +363,7 @@ def morse_like(hbar: float = 1.0) -> ModelSpec:
     def psi_eval(lamv, n, x):
         if not only_ground(n):
             raise EngineError("morse-like exposes the ground state only")
-        return _morse(x, lamv[0], lamv[1], hbar)[0] + 0j
+        return _morse(x, lamv[0], lamv[1], hbar)[0]
 
     def psi_grad(lamv, n, x):
         lam, om = lamv
@@ -504,7 +504,7 @@ def coupled_anharmonic_2d(hbar: float = 1.0) -> ModelSpec:
     def psi_eval(lamv, n, x, y):
         if not only_ground(n):
             raise EngineError("coupled-anharmonic-2d exposes the ground state only")
-        return coupled_ground_state(x, y, *lamv, hbar=hbar) + 0j
+        return coupled_ground_state(x, y, *lamv, hbar=hbar)
 
     def psi_grad(lamv, n, x, y):
         k1, k2, a, b = lamv
@@ -700,7 +700,7 @@ def flat_oscillator_1d(hbar: float = 1.0) -> ModelSpec:
     )
     psi = WavefunctionFamily(
         dim=1,
-        eval=lambda lamv, n, x: _oscillator(x, lamv[0], n[0], hbar, dilation=False) + 0j,
+        eval=lambda lamv, n, x: _oscillator(x, lamv[0], n[0], hbar, dilation=False),
         analytic_param_grad=lambda lamv, n, x: _omega_derivative(
             *_oscillator(x, lamv[0], n[0], hbar), lamv[0])[None],
         broadcasts=True,

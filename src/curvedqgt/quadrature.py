@@ -1,4 +1,4 @@
-"""Adaptive numerical integration of complex integrands.
+"""Adaptive numerical integration of real or complex integrands.
 
 Two schemes back every curved inner product:
 
@@ -16,9 +16,11 @@ Two schemes back every curved inner product:
   inside the windows, and the mass left out joins the error estimate.
 
 Integrands receive physical coordinates as arrays, one argument per axis,
-and must return values broadcast to the same shape.  An integrand may be
-array-valued: leading axes then index entries, trailing axes nodes, and
-the value and the error estimate come back per entry.  An integrand that
+and must return values broadcast to the same shape.  Real values are
+integrated in real arithmetic and give real results; only a complex
+integrand pays for complex products.  An integrand may be array-valued:
+leading axes then index entries, trailing axes nodes, and the value and
+the error estimate come back per entry.  An integrand that
 returns its stacked columns ``U`` (shape ``(k, *nodes)``) viewed as
 :class:`GramColumns` gets the k-by-k Gram matrix
 ``G[a, b] = integral conj(U_a) U_b``, contracted as one matrix product per
@@ -85,7 +87,8 @@ class GramColumns(np.ndarray):
     ``(k, *nodes)``; the integral is then the k-by-k matrix
     ``sum_i w_i conj(U[:, i]) U[:, i]^T`` over the quadrature nodes i.  A
     stack ``(P, k, *nodes)`` integrates to one such matrix per leading
-    index, ``(P, k, k)``.
+    index, ``(P, k, k)``.  Real columns give a real Gram, contracted in
+    real arithmetic; complex columns a complex Hermitian one.
     """
 
 
@@ -174,13 +177,14 @@ _TAIL_FRACTION = 1e-3
 
 
 def _node_values(out, x, ny=None):
-    """Integrand output as complex (entries..., nodes); non-finite values raise.
+    """Integrand output as (entries..., nodes), complex if it is complex and
+    float otherwise; non-finite values raise.
 
     ``x`` holds the nodes of the first axis; in 2-D each of them carries a
     row of ``ny`` nodes of the second.
     """
     node_shape = (x.size,) if ny is None else (x.size, ny)
-    vals = np.asarray(out, dtype=complex)
+    vals = np.asarray(out, dtype=complex if np.iscomplexobj(out) else float)
     lead = vals.shape[:max(0, vals.ndim - len(node_shape))]
     vals = np.broadcast_to(vals, lead + node_shape).reshape(lead + (-1,))
     bad = ~np.isfinite(vals)
@@ -197,16 +201,18 @@ def _block_sum(f, x, wx, y=None, wy=None, gx=None, gy=None, marginals=False):
     node belongs to the larger group of its two coordinates.  Label every
     axis or none; no labels means one group.  Returns one sum per group.
     The integrand is called once per chunk of at most ``_CHUNK`` nodes
-    (whole rows of the grid in 2-D), whatever the groups.  In 2-D,
-    ``marginals`` also returns the row and the column sums of each node's
-    envelope, ``w * sum_c |U_c|^2`` for Gram columns and ``w * sum |f|``
-    otherwise, which bounds the node's share of every entry.
+    (whole rows of the grid in 2-D), whatever the groups.  Real values are
+    summed in real arithmetic.  In 2-D, ``marginals`` also returns the row
+    and the column sums of each node's envelope, which bounds the node's
+    share of an entry: ``w * sum_c |U_c|^2`` over the columns of each
+    point of a Gram stack, shape ``(P, 1, 1, nodes)`` (``(1, 1, nodes)``
+    without a stack), and ``w * |f|`` per entry otherwise, so each
+    broadcasts against the entries it bounds.
     """
     groups = 1 + max(0 if g is None else int(g.max()) for g in (gx, gy))
     step = max(1, _CHUNK // (1 if y is None else y.size))
     totals = [0.0] * groups
-    if marginals:
-        rows, cols = np.empty(x.size), np.zeros(y.size)
+    rows, cols = [], 0.0
     for i in range(0, x.size, step):
         xs, w = x[i:i + step], wx[i:i + step]
         g = None if gx is None else gx[i:i + step]
@@ -225,16 +231,20 @@ def _block_sum(f, x, wx, y=None, wy=None, gx=None, gy=None, marginals=False):
             totals[j] = totals[j] + ((v.conj() * wj) @ v.swapaxes(-1, -2) if gram
                                      else v @ wj)
         if marginals:
-            v = vals.reshape(-1, vals.shape[-1])
-            # einsum over the real and imaginary views makes no
-            # (columns, nodes) temporaries
-            size = (np.einsum("cn,cn->n", v.real, v.real)
-                    + np.einsum("cn,cn->n", v.imag, v.imag) if gram
-                    else np.abs(v).sum(axis=0))
-            env = (w * size).reshape(xs.size, y.size)
-            rows[i:i + step] = env.sum(axis=1)
-            cols += env.sum(axis=0)
-    return (totals, rows, cols) if marginals else totals
+            if gram:
+                # einsum over the real and imaginary views makes no
+                # (columns, nodes) temporaries; a real array has no
+                # imaginary view, its .imag is a fresh block of zeros
+                size = np.einsum("...cn,...cn->...n", vals.real, vals.real)
+                if np.iscomplexobj(vals):
+                    size += np.einsum("...cn,...cn->...n", vals.imag, vals.imag)
+                size = size[..., None, None, :]
+            else:
+                size = np.abs(vals)
+            env = (w * size).reshape(size.shape[:-1] + (xs.size, y.size))
+            rows.append(env.sum(axis=-1))
+            cols = cols + env.sum(axis=-2)
+    return (totals, np.concatenate(rows, axis=-1), cols) if marginals else totals
 
 
 def _axis_level(node_fn, span, first: int, last: int):
@@ -260,19 +270,23 @@ def _axis_level(node_fn, span, first: int, last: int):
 def _tail_window(mass, limit: float):
     """Nodes [lo, hi) worth refining, and the mass of the nodes left out.
 
-    ``mass`` holds each node's share in t order.  The longest run of nodes
-    at each end whose summed mass stays below ``limit`` is dropped, except
+    ``mass`` holds each node's share in t order along its last axis, one
+    row per bounded entry (or stack point); the window is chosen from the
+    sum of the rows, so all of them share it.  The longest run of nodes at
+    each end whose summed mass stays below ``limit`` is dropped, except
     for its innermost node: refinement stops at the last node it keeps, so
     without it the panel between the kept edge node and the first dropped
     one would never be refined, an error of order h that halves with every
-    level instead of vanishing.  The mass of both runs, innermost nodes
-    included, is returned as their bound.
+    level instead of vanishing.  The mass each row holds in both runs,
+    innermost nodes included, is returned as that row's bound, shaped like
+    ``mass`` without its last axis.
     """
-    head, tail = np.cumsum(mass), np.cumsum(mass[::-1])
+    total = mass.reshape(-1, mass.shape[-1]).sum(axis=0)
+    head, tail = np.cumsum(total), np.cumsum(total[::-1])
     lo = int(np.searchsorted(head, limit))
-    hi = min(int(np.searchsorted(tail, limit)), mass.size - lo)
-    dropped = (head[lo - 1] if lo else 0.0) + (tail[hi - 1] if hi else 0.0)
-    return max(lo - 1, 0), mass.size - max(hi - 1, 0), dropped
+    hi = min(int(np.searchsorted(tail, limit)), total.size - lo)
+    dropped = mass[..., :lo].sum(axis=-1) + mass[..., total.size - hi:].sum(axis=-1)
+    return max(lo - 1, 0), total.size - max(hi - 1, 0), dropped
 
 
 def _refine(sums, level_sum, dim: int, cfg: QuadratureConfig, rule: str,
@@ -381,15 +395,17 @@ def _integrate_gk(f, lo: float, hi: float, cfg: QuadratureConfig):
 # ---------------------------------------------------------------------------
 
 def integrate(f: Callable, domain: Domain, cfg: QuadratureConfig | None = None
-              ) -> Tuple[complex, float]:
+              ) -> Tuple[float | complex | np.ndarray, float | np.ndarray]:
     """Integrate ``f`` over a 1-D domain; returns (value, error estimate).
 
-    ``f`` maps an array of physical coordinates to complex values, or to an
-    array of them (see the module docstring); value and error then come
-    back per entry.  The scheme is picked from the domain: plain finite
-    intervals use adaptive Gauss-Kronrod bisection, anything unbounded or
-    transform-tamed uses the double-exponential rule, which calls ``f``
-    once per chunk of each level's new nodes.
+    ``f`` maps an array of physical coordinates to real or complex values,
+    or to an array of them (see the module docstring); value and error
+    then come back per entry.  The value is real when ``f`` returns real
+    values and complex when it returns complex ones.  The scheme is
+    picked from the domain: plain finite intervals use adaptive
+    Gauss-Kronrod bisection, anything unbounded or transform-tamed uses
+    the double-exponential rule, which calls ``f`` once per chunk of each
+    level's new nodes.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -423,21 +439,23 @@ def _as_axis(d) -> Axis:
 
 def integrate_2d_product(f: Callable, domain_x, domain_y,
                          cfg: QuadratureConfig | None = None
-                         ) -> Tuple[complex, float]:
+                         ) -> Tuple[float | complex | np.ndarray, float | np.ndarray]:
     """Tensor-product integration over two axes; returns (value, error).
 
     ``f(x, y)`` must broadcast over a column of x values against a row of
-    y values; it may be array-valued like a 1-D integrand.  Both axes are
-    refined together on nested double-exponential meshes.  The first pass
-    covers the whole level-2 product mesh out to each axis' t cap.  From
-    the row and column sums of its node envelope (see ``_block_sum``) each
-    axis keeps one t window, dropping the end runs of level-2 nodes whose
-    mass sums below ``_TAIL_FRACTION * abs_tol`` (see ``_tail_window``).
-    Each later level evaluates only its new rows inside the x window
-    (against every y node in the y window) and its new columns inside the
-    y window (against the x nodes in the x window).  The error of each
-    entry is its change over the last level plus the mass the windows
-    drop.
+    y values; it may be array-valued, and real or complex, like a 1-D
+    integrand.  Both axes are refined together on nested double-exponential
+    meshes.  The first pass covers the whole level-2 product mesh out to
+    each axis' t cap.  From the row and column sums of its node envelope
+    (see ``_block_sum``), kept per point of a Gram stack and per entry
+    otherwise, each axis keeps one t window shared by all of them,
+    dropping the end runs of level-2 nodes whose summed mass stays below
+    ``_TAIL_FRACTION * abs_tol`` (see ``_tail_window``).  Each later
+    level evaluates only its new rows inside the x window (against every
+    y node in the y window) and its new columns inside the y window
+    (against the x nodes in the x window).  The error of each entry is
+    its change over the last level plus the mass the windows drop from
+    its own envelope, that of its point in a Gram stack.
     """
     if cfg is None:
         cfg = QuadratureConfig()

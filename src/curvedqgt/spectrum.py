@@ -427,7 +427,7 @@ def numerical_wavefunction_family(model: ModelSpec, lam, n_levels: int,
         _, _, spline = solve(np.asarray(lamv, dtype=float))[n[0]]
         x = np.asarray(x, dtype=float)
         u = np.asarray(grid.u_of(x))
-        out = np.zeros(u.shape, dtype=complex)
+        out = np.zeros(u.shape)
         # extrapolate across the half-cell sliver at the inner edge; beyond
         # the outer edge the state has decayed to zero
         inside = (u >= grid.u_lo) & (u <= grid.points[-1])

@@ -111,6 +111,27 @@ def test_compute_jsonl_bit_for_bit(runner):
     assert json.loads(json.dumps(rec)) == rec
 
 
+@pytest.mark.parametrize("args", [
+    ["--model", "anharmonic-1d", "--lambda", "1.25", "--omega", "0.8", "--n", "1"],
+    ["--model", "morse-like", "--lambda", "0.5", "--omega", "1"],
+    ["--model", "flat-oscillator-1d", "--omega", "1.3", "--n", "2"],
+    ["--model", "coupled-anharmonic-2d", "--k1", "1", "--k2", "0.1", "--a", "1.5", "--b", "1.5"],
+], ids=lambda args: args[1])
+def test_real_family_zeros_serialize_without_sign(runner, args):
+    """A real family's QGTim, F and beta cells read "0" in CSV, and its
+    "im", curvature and connection entries 0.0 in JSONL: never -0."""
+    quantities = ["--quantities", "qgt,berry_curvature,berry_connection"]
+    out = _invoke(runner, ["compute", *args, *quantities, "--format", "csv"]).stdout
+    row = next(csv.DictReader(io.StringIO(out)))
+    cells = [v for k, v in row.items() if k.startswith(("QGTim_", "F_", "beta_"))]
+    assert cells and set(cells) == {"0"}
+    out = _invoke(runner, ["compute", *args, *quantities]).stdout
+    rec = json.loads(out, parse_float=str)
+    texts = [*np.ravel(rec["qgt"]["im"]), *np.ravel(rec["berry_curvature"]),
+             *rec["berry_connection"]]
+    assert set(texts) == {"0.0"}
+
+
 def test_sweep_single_point_matches_compute(runner):
     sweep = _invoke(runner, [
         "sweep", "--model", "anharmonic-1d", "--lambda", "1",

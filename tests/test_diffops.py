@@ -35,6 +35,18 @@ def test_constant_in_parameter_derivative_is_zero():
     assert np.max(np.abs(d)) < 1e-10
 
 
+@pytest.mark.parametrize("unit, dtype", [(1.0, np.float64), (1.0 + 0j, np.complex128)])
+def test_fd_gradient_keeps_the_dtype_of_eval(unit, dtype):
+    """Without analytic_param_grad, d_psi's central differences of a real
+    family stay float64, and those of a complex family complex128."""
+    fam = WavefunctionFamily(
+        dim=1, eval=lambda lamv, n, x: unit * np.exp(-lamv[0] * np.asarray(x) ** 2 / 2.0))
+    x = np.array([0.3, 1.1])
+    d = d_psi(fam, (0,), np.array([1.0]), FdConfig(), x)
+    assert d.dtype == dtype and d.shape == (1, 2)
+    assert np.max(np.abs(d[0] + 0.5 * x * x * np.exp(-x * x / 2.0))) < 1e-10
+
+
 def test_quartic_ground_state_hand_derivative(anharmonic):
     """d psi_0 / d omega at x=1 equals psi_0 (1/(4w) - lam x^4/2)."""
     lam = np.array([1.0, 1.0])

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 from curvedqgt import geometry as geo
-from curvedqgt import models, quadrature
+from curvedqgt import models
 from curvedqgt.core import (
     Domain,
     EngineError,
@@ -738,15 +738,13 @@ def test_qgt_of_a_stack_matches_each_point(name, stack, n):
     """qgt and bracket_set take a stack (P, m): qgt returns one set of
     tensors per point, equal to that point's own to rounding, while a single
     point keeps its types (float norm, err and quad_error).  A stack's error
-    is no looser than the point's own, except that the 2-D product rule
-    drops one tail window for the whole stack and adds its mass, below
-    4 _TAIL_FRACTION abs_tol, to each of the (m + 1)^2 Gram entries."""
+    is no looser than the point's own, also in 2-D: the product rule's
+    shared tail window is at least as wide as each point's own, and each
+    point's error holds only the tail mass of its own columns."""
     model = models.get_model(name)
     stack = np.array(stack)
     eng = make_engine(model, stack[0])
-    m = stack.shape[1]
-    slack = 1e-14 if model.dim == 1 else (
-        4 * quadrature._TAIL_FRACTION * eng.cfg.quad.abs_tol * (m + 1) ** 2)
+    slack = 1e-14
     stacked = eng.qgt(stack, n)
     assert len(stacked) == len(stack)
     for p, tensors in zip(stack, stacked):
@@ -797,6 +795,79 @@ def test_berry_curvature_of_a_stack_matches_each_point(generalized):
     for p, F in zip(_GENERALIZED_STACK, stacked):
         solo = eng.berry_curvature(p, (1,))
         assert np.max(np.abs(F - solo)) <= 1e-13 * np.max(np.abs(solo))
+
+
+# ---------------------------------------------------------------------------
+# Real families integrate real Grams
+# ---------------------------------------------------------------------------
+
+_REAL_STACKS = [case for case in _BROADCAST_STACKS if case[0] != "generalized-anharmonic"]
+
+
+def _complex_wrapped(psi):
+    """A real family given as a custom complex one: eval and the analytic
+    gradient return the same values + 0j."""
+    return dataclasses.replace(
+        psi, eval=lambda *args: psi.eval(*args) + 0j,
+        analytic_param_grad=lambda *args: psi.analytic_param_grad(*args) + 0j)
+
+
+def _tensor_list(tensors):
+    return tensors if isinstance(tensors, list) else [tensors]
+
+
+@pytest.mark.parametrize("name,stack,n", _BROADCAST_STACKS)
+def test_real_families_integrate_real_grams(name, stack, n):
+    """bracket_set returns float64 G and w for the four real registry
+    models, at one point and on a stack, and complex128 for the
+    generalized model."""
+    model = models.get_model(name)
+    stack = np.array(stack)
+    eng = make_engine(model, stack[0])
+    dtype = np.complex128 if name == "generalized-anharmonic" else np.float64
+    for lam in (stack[0], stack):
+        br = eng.bracket_set(lam, n)
+        assert br["G"].dtype == br["w"].dtype == dtype
+
+
+@pytest.mark.parametrize("name,stack,n", _REAL_STACKS)
+def test_complex_wrapped_real_family_matches_the_real_path(name, stack, n):
+    """The same real family given as complex takes the complex path, and
+    its qgt, F and beta match the real path's to 1e-15 of the largest
+    entry, at one point and on a stack."""
+    model = models.get_model(name)
+    stack = np.array(stack)
+    real = make_engine(model, stack[0])
+    wrapped = geo.GeometryEngine(_complex_wrapped(model.psi), model.metric, real.domain,
+                                 in_domain=model.in_domain)
+    assert wrapped.bracket_set(stack[0], n)["G"].dtype == np.complex128
+    for lam in (stack[0], stack):
+        for ours, theirs in zip(_tensor_list(real.qgt(lam, n)),
+                                _tensor_list(wrapped.qgt(lam, n))):
+            scale = np.max(np.abs(theirs.qgt))
+            for key in ("qgt", "berry_curvature", "berry_connection"):
+                assert (np.max(np.abs(getattr(ours, key) - getattr(theirs, key)))
+                        <= 1e-15 * scale), key
+
+
+@pytest.mark.parametrize("name,stack,n", _BROADCAST_STACKS)
+def test_tensors_keep_their_types_on_the_real_path(name, stack, n):
+    """Every family returns a complex128 qgt and a writable float64
+    connection, from qgt and from berry_connection; a real family's
+    Im qgt, curvature and connection are +0.0 throughout."""
+    model = models.get_model(name)
+    stack = np.array(stack)
+    eng = make_engine(model, stack[0])
+    for lam in (stack[0], stack):
+        conn = eng.berry_connection(lam, n)
+        tensors = _tensor_list(eng.qgt(lam, n))
+        betas = [conn, *(t.berry_connection for t in tensors)]
+        assert all(t.qgt.dtype == np.complex128 for t in tensors)
+        assert all(b.dtype == np.float64 and b.flags.writeable for b in betas)
+        if name != "generalized-anharmonic":
+            for v in [*betas, *(t.qgt.imag for t in tensors),
+                      *(t.berry_curvature for t in tensors)]:
+                assert not np.any(v) and not np.any(np.signbit(v))
 
 
 def test_broadcast_stack_with_a_non_positive_det_raises(anharmonic):

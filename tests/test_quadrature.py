@@ -132,6 +132,27 @@ def test_2d_gram_error_covers_the_dropped_tail():
     assert np.all(np.abs(gram - ref) <= err + 1e-14 * scale)
 
 
+def test_2d_gram_stack_errors_hold_each_point_own_tail():
+    """The points of a 2-D Gram stack share one window, but each point's
+    error holds only the tail mass of its own columns: a copy of a point
+    scaled by 1e-3 gets Grams and errors 1e-6 times the original's, where
+    one tail mass added to every point would dominate the copy's errors.
+    The columns are those of the dropped-tail test, whose far column holds
+    a mass the window drops."""
+    cols = [(1.0, 0.0, 0.3, 0.0, 0.3), (1.0, 0.2, 0.5, -0.1, 0.5),
+            (1e-8, 3.5, 1.0, -3.5, 1.0)]
+
+    def integrand(x, y):
+        point = np.stack(np.broadcast_arrays(
+            *(a * _gauss(x, cx, sx) * _gauss(y, cy, sy) for a, cx, sx, cy, sy in cols)))
+        return np.stack([point, 1e-3 * point]).view(GramColumns)
+
+    grams, errs = integrate_2d_product(integrand, Domain.full_line(), Domain.full_line(), CFG)
+    assert grams.shape == errs.shape == (2, 3, 3)
+    assert np.max(np.abs(grams[1] - 1e-6 * grams[0])) <= 1e-15 * np.max(np.abs(grams[1]))
+    assert np.max(errs[1]) <= 1e-5 * np.max(errs[0])
+
+
 def test_finite_interval_gauss_kronrod():
     val, err = integrate(np.sin, Domain.interval(0.0, math.pi), CFG)
     assert abs(val - 2.0) < 1e-10
@@ -197,14 +218,41 @@ def test_nonconvergence_carries_best_value():
     assert err.value.err_estimate > 0
 
 
-def test_nan_integrand_reports_location():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("domain", [Domain.full_line(), Domain.interval(-6.0, 6.0)],
+                         ids=["double-exponential", "gauss-kronrod"])
+def test_nan_integrand_reports_location(domain, bad):
+    """A NaN or an infinity in a real integrand raises, naming the node."""
     def f(x):
         out = np.exp(-x * x)
-        return np.where(x > 3.0, np.nan, out)
+        return np.where(x > 3.0, bad, out)
 
     with pytest.raises(IntegrandNaNError) as err:
-        integrate(f, Domain.full_line(), CFG)
+        integrate(f, domain, CFG)
     assert err.value.location > 3.0
+
+
+def test_real_integrands_give_real_values():
+    """Real integrands and real Gram columns integrate to float64 on every
+    scheme, and a complex integrand to complex128."""
+    line, box = Domain.full_line(), Domain.interval(-6.0, 6.0)
+
+    def cols(x):
+        return np.stack([np.exp(-x * x), x * np.exp(-x * x)]).view(GramColumns)
+
+    def cols_2d(x, y):
+        return np.stack(np.broadcast_arrays(np.exp(-x * x - y * y),
+                                            x * np.exp(-x * x - y * y))).view(GramColumns)
+
+    for unit, dtype in ((1.0, np.float64), (1.0 + 0j, np.complex128)):
+        for domain in (line, box):
+            val, _ = integrate(lambda x: unit * np.exp(-x * x), domain, CFG)
+            gram, _ = integrate(lambda x: (unit * cols(x)).view(GramColumns), domain, CFG)
+            assert np.asarray(val).dtype == gram.dtype == dtype
+            assert abs(val - math.sqrt(math.pi)) < 1e-12
+        gram, _ = integrate_2d_product(lambda x, y: (unit * cols_2d(x, y)).view(GramColumns),
+                                       line, line, CFG)
+        assert gram.dtype == dtype and abs(gram[0, 0] - math.pi / 2.0) < 1e-12
 
 
 def test_config_validation():
