@@ -16,8 +16,6 @@ the norm against their tolerances.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -39,7 +37,6 @@ __all__ = [
     "ImaginaryResidueWarning",
     "LinearTermWarning",
     "NormalizationWarning",
-    "LruCache",
     "MetricFamily",
     "WavefunctionFamily",
     "over_points",
@@ -154,45 +151,6 @@ class LinearTermWarning(EngineWarning):
 
 class NormalizationWarning(EngineWarning):
     """A state's curved norm <psi|psi> differs noticeably from 1."""
-
-
-# ---------------------------------------------------------------------------
-# Bounded memoization
-# ---------------------------------------------------------------------------
-
-class LruCache:
-    """Memoized values, at most ``capacity`` of them; guarded by a lock.
-
-    Hits return the identical stored object and the least recently used
-    entry is evicted first.  ``compute`` runs outside the lock, so two
-    threads missing on one key may both compute; the first value stored
-    is the one every caller gets.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._store = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def get_or_compute(self, key, compute: Callable):
-        with self._lock:
-            if key in self._store:
-                self.hits += 1
-                self._store.move_to_end(key)
-                return self._store[key]
-        value = compute()
-        with self._lock:
-            self.misses += 1
-            value = self._store.setdefault(key, value)
-            self._store.move_to_end(key)
-            while len(self._store) > self.capacity:
-                self._store.popitem(last=False)
-            return value
 
 
 def param_values(lam) -> np.ndarray:
@@ -391,10 +349,9 @@ class GeometricTensors:
     part; ``berry_curvature`` the antisymmetric curvature F with
     F = 2 Im(qgt); ``berry_connection`` the real connection vector.
     ``quad_error`` sums the entrywise quadrature error estimates (the
-    change over the last level, plus in 2-D the mass of the unrefined
-    tails) of the Gram matrix that holds every
-    bracket of the assembly, and ``fd_steps`` records the parameter steps
-    used for derivatives.
+    change over the last level, plus the mass of the unrefined tails) of
+    the Gram matrix that holds every bracket of the assembly, and
+    ``fd_steps`` records the parameter steps used for derivatives.
     """
 
     qgt: np.ndarray

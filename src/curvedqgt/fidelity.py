@@ -109,15 +109,15 @@ def overlap(psi: WavefunctionFamily, metric: MetricFamily, domain: Domain,
 
 
 def _richardson(values, p: int = 2, r: float = 2.0):
-    """Eliminate the leading O(h^p) error from a step-halving series."""
-    vals = [float(v) for v in values]
-    n = len(vals)
+    """Eliminate the leading O(h^p) error from step-halving series along
+    the last axis; returns (value, residual) per series."""
+    vals = np.array(values, dtype=float)
+    n = vals.shape[-1]
     for j in range(1, n):
         factor = r ** (p * j)
-        for k in range(n - 1, j - 1, -1):
-            vals[k] = (factor * vals[k] - vals[k - 1]) / (factor - 1.0)
-    residual = abs(vals[-1] - vals[-2]) if n >= 2 else 0.0
-    return vals[-1], residual
+        vals[..., j:] = (factor * vals[..., j:] - vals[..., j - 1:-1]) / (factor - 1.0)
+    residual = np.abs(vals[..., -1] - vals[..., -2]) if n >= 2 else np.zeros(vals.shape[:-1])
+    return vals[..., -1], residual
 
 
 def fidelity_susceptibility_detailed(
@@ -143,9 +143,9 @@ def fidelity_susceptibility_detailed(
     steps = np.array(sorted(sus_cfg.delta_steps, reverse=True), dtype=float)
 
     unit = np.eye(m)
-    pairs = [(r, k) for r in range(m) for k in range(r + 1, m)]
+    upper = np.triu_indices(m, 1)
     directions = [*unit, *(unit[r] + sign * unit[k]
-                           for r, k in pairs for sign in (1.0, -1.0))]
+                           for r, k in zip(*upper) for sign in (1.0, -1.0))]
     # per direction, per step (largest first): +delta, then -delta
     targets = np.array([lamv + sign * d * u for u in directions
                         for d in steps for sign in (1.0, -1.0)])
@@ -160,36 +160,21 @@ def fidelity_susceptibility_detailed(
     f0 = fid[0]
     fid = fid[1:].reshape(len(directions), steps.size, 2)
 
-    def fit(j):
-        # c2 in F(delta)/F0 = 1 + c2 delta^2 + O(delta^4), and the linear
-        # c1, per step from the overlaps F(+-delta) along direction j
-        fp, fm = fid[j, :, 0], fid[j, :, 1]
-        c2 = ((fp + fm) / (2.0 * f0) - 1.0) / (steps * steps)
-        c1 = (fp - fm) / (2.0 * steps * f0)
-        value, residual = _richardson(c2)
-        # the raw c1 estimates carry the cubic term at O(delta^2);
-        # the same extrapolation isolates the true linear coefficient
-        lin = abs(_richardson(c1)[0])
-        return -2.0 * value, residual, lin
+    # c2 in F(delta)/F0 = 1 + c2 delta^2 + O(delta^4), and the linear c1,
+    # per direction and step from the overlaps F(+-delta)
+    fp, fm = fid[..., 0], fid[..., 1]
+    c2 = ((fp + fm) / (2.0 * f0) - 1.0) / (steps * steps)
+    c1 = (fp - fm) / (2.0 * steps * f0)
+    value, residual = _richardson(c2)
+    q = -2.0 * value
+    chi = np.diag(q[:m])
+    chi[upper] = chi[upper[::-1]] = 0.25 * (q[m::2] - q[m + 1::2])
+    worst_residual = float(np.max(residual))
+    # the raw c1 estimates carry the cubic term at O(delta^2);
+    # the same extrapolation isolates the true linear coefficient
+    worst_linear = float(np.max(np.abs(_richardson(c1)[0])))
 
-    chi = np.zeros((m, m))
-    worst_residual = 0.0
-    worst_linear = 0.0
-    diag_scale = np.zeros(m)
-    for r in range(m):
-        q, res, lin = fit(r)
-        chi[r, r] = q
-        diag_scale[r] = abs(q)
-        worst_residual = max(worst_residual, res)
-        worst_linear = max(worst_linear, lin)
-    for j, (r, k) in enumerate(pairs):
-        q_plus, res_p, lin_p = fit(m + 2 * j)
-        q_minus, res_m, lin_m = fit(m + 2 * j + 1)
-        chi[r, k] = chi[k, r] = 0.25 * (q_plus - q_minus)
-        worst_residual = max(worst_residual, res_p, res_m)
-        worst_linear = max(worst_linear, lin_p, lin_m)
-
-    scale = max(1.0, float(np.max(diag_scale)))
+    scale = max(1.0, float(np.max(np.abs(q[:m]))))
     if worst_residual > sus_cfg.residual_threshold * scale:
         raise FitResidualError(worst_residual, sus_cfg.residual_threshold * scale)
     if worst_linear > LINEAR_TERM_WARN:

@@ -23,8 +23,8 @@ and Re w_r = Re<psi|d_r psi> - <sigma_r>/4 vanishes for a normalized
 family.  A real family has real columns and integrates a real Gram in
 real arithmetic, so its beta and curvature are exact zeros; only the qgt
 it returns is complex.  Each entry's error is its change over the last
-quadrature level, plus in 2-D the mass of the tails the product rule
-leaves unrefined.  A Berry loop needs only the connection along each
+quadrature level, plus the mass of the tails the quadrature windows
+leave unrefined.  A Berry loop needs only the connection along each
 segment delta, so it integrates the two-column Gram of [psi, v_delta], with
 v_delta = sum_r delta_r v_r.  At each integrand call the columns come from
 three family calls: psi, the gradient [d_r psi] and the gradient

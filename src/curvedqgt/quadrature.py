@@ -4,16 +4,17 @@ Two schemes back every curved inner product:
 
 * finite intervals use adaptive bisection with an embedded 7/15-point
   Gauss-Kronrod error estimate;
-* unbounded (or transform-tamed) axes use double-exponential rules
-  (tanh-sinh, exp-sinh, sinh-sinh) refined by mesh halving.  The levels
-  nest: each one evaluates only the nodes it adds and reuses the sum over
-  all earlier ones, and integrable endpoint behaviour is tolerated.  The
-  rule never stops before level 2, so levels 0-2 share one pass over the
-  level-2 mesh (one integrand call per 1-D axis) whose sum is split by the
-  level that adds each node; later levels take one pass each.  A 2-D
-  product rule also reads from that pass one t window per axis, outside
-  of which the integrand's mass is negligible; later levels refine only
-  inside the windows, and the mass left out joins the error estimate.
+* unbounded (or transform-tamed) axes, and every product of axes, use
+  double-exponential rules (tanh-sinh, exp-sinh, sinh-sinh) refined by
+  mesh halving, one driver for any number of axes.  The levels nest: each
+  one evaluates only the nodes it adds and reuses the sum over all
+  earlier ones, and integrable endpoint behaviour is tolerated.  The rule
+  never stops before level 2, so levels 0-2 share one pass over the
+  level-2 mesh whose sum is split by the level that adds each node; later
+  levels take one pass each.  The rule also reads from that pass one t
+  window per axis, outside of which the integrand's mass is negligible;
+  later levels refine only inside the windows, and the mass left out
+  joins the error estimate, in one dimension as in two.
 
 Integrands receive physical coordinates as arrays, one argument per axis,
 and must return values broadcast to the same shape.  Real values are
@@ -35,6 +36,7 @@ integrands in physical variables.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -171,63 +173,66 @@ _H0 = 0.5
 # that its temporaries stay small and peak memory flat (2-D Gram columns
 # evaluated fastest per node between about 2.5k and 5k nodes per call)
 _CHUNK = 4096
-# a 2-D axis leaves unrefined the end runs of level-2 nodes whose summed
+# an axis leaves unrefined the end runs of level-2 nodes whose summed
 # envelope mass stays below this fraction of abs_tol
 _TAIL_FRACTION = 1e-3
 
 
-def _node_values(out, x, ny=None):
+def _node_values(out, nodes):
     """Integrand output as (entries..., nodes), complex if it is complex and
-    float otherwise; non-finite values raise.
+    float otherwise; non-finite values raise, naming the first coordinate.
 
-    ``x`` holds the nodes of the first axis; in 2-D each of them carries a
-    row of ``ny`` nodes of the second.
+    ``nodes`` holds the node coordinates of each axis; the values span
+    their product grid.
     """
-    node_shape = (x.size,) if ny is None else (x.size, ny)
+    node_shape = tuple(x.size for x in nodes)
     vals = np.asarray(out, dtype=complex if np.iscomplexobj(out) else float)
     lead = vals.shape[:max(0, vals.ndim - len(node_shape))]
     vals = np.broadcast_to(vals, lead + node_shape).reshape(lead + (-1,))
     bad = ~np.isfinite(vals)
     if np.any(bad):
         node = int(np.argmax(bad.reshape(-1, vals.shape[-1]).any(axis=0)))
-        raise IntegrandNaNError(x[node // (ny or 1)])
+        raise IntegrandNaNError(nodes[0][np.unravel_index(node, node_shape)[0]])
     return vals
 
 
-def _block_sum(f, x, wx, y=None, wy=None, gx=None, gy=None, marginals=False):
-    """Weighted sums of ``f`` over the nodes x, or over the grid x times y.
+def _block_sum(f, axes, groups=None, marginals=False):
+    """Weighted sums of ``f`` over the product grid of ``axes``.
 
-    ``gx`` (``gy``) labels each node of x (y) with a group 0, 1, ...; a grid
-    node belongs to the larger group of its two coordinates.  Label every
-    axis or none; no labels means one group.  Returns one sum per group.
-    The integrand is called once per chunk of at most ``_CHUNK`` nodes
-    (whole rows of the grid in 2-D), whatever the groups.  Real values are
-    summed in real arithmetic.  In 2-D, ``marginals`` also returns the row
-    and the column sums of each node's envelope, which bounds the node's
+    ``axes`` holds one (nodes, weights) pair per axis.  ``groups`` labels
+    the nodes of each axis with a group 0, 1, ...; a grid node belongs to
+    the largest group of its coordinates, and no labels means one group.
+    Returns one sum per group.  The integrand is called once per chunk of
+    at most ``_CHUNK`` nodes (whole slices of the grid along the first
+    axis), whatever the groups, with axis a's coordinates shaped to
+    broadcast along grid axis a.  Real values are summed in real
+    arithmetic.  ``marginals`` also returns, for each axis, the sums of
+    each node's envelope over the other axes, which bound the node's
     share of an entry: ``w * sum_c |U_c|^2`` over the columns of each
     point of a Gram stack, shape ``(P, 1, 1, nodes)`` (``(1, 1, nodes)``
     without a stack), and ``w * |f|`` per entry otherwise, so each
     broadcasts against the entries it bounds.
     """
-    groups = 1 + max(0 if g is None else int(g.max()) for g in (gx, gy))
-    step = max(1, _CHUNK // (1 if y is None else y.size))
-    totals = [0.0] * groups
-    rows, cols = [], 0.0
-    for i in range(0, x.size, step):
-        xs, w = x[i:i + step], wx[i:i + step]
-        g = None if gx is None else gx[i:i + step]
-        if y is None:
-            out = f(xs)
-            vals = _node_values(out, xs)
-        else:
-            out = f(xs[:, None], y[None, :])
-            vals = _node_values(out, xs, y.size)
-            w = np.outer(w, wy).ravel()
-            if g is not None:
-                g = np.maximum.outer(g, gy).ravel()
+    dim = len(axes)
+    (x0, w0), rest = axes[0], axes[1:]
+    # the other axes are whole in every chunk, so they are shaped once
+    shaped = [x.reshape([-1 if b == a else 1 for b in range(dim)])
+              for a, (x, _) in enumerate(rest, 1)]
+    sizes = tuple(x.size for x, _ in rest)
+    n_groups = 1 if groups is None else 1 + max(int(g.max()) for g in groups)
+    step = max(1, _CHUNK // math.prod(sizes))
+    totals = [0.0] * n_groups
+    first, other = [], [0.0] * len(rest)
+    for i in range(0, x0.size, step):
+        xs = x0[i:i + step]
+        out = f(xs.reshape((-1,) + (1,) * len(rest)), *shaped)
+        vals = _node_values(out, [xs, *(x for x, _ in rest)])
+        w = functools.reduce(np.multiply.outer, [w0[i:i + step], *(w for _, w in rest)]).ravel()
+        if groups is not None:
+            g = functools.reduce(np.maximum.outer, [groups[0][i:i + step], *groups[1:]]).ravel()
         gram = isinstance(out, GramColumns)
-        for j in range(groups):
-            v, wj = (vals, w) if groups == 1 else (vals[..., g == j], w[g == j])
+        for j in range(n_groups):
+            v, wj = (vals, w) if n_groups == 1 else (vals[..., g == j], w[g == j])
             totals[j] = totals[j] + ((v.conj() * wj) @ v.swapaxes(-1, -2) if gram
                                      else v @ wj)
         if marginals:
@@ -241,10 +246,12 @@ def _block_sum(f, x, wx, y=None, wy=None, gx=None, gy=None, marginals=False):
                 size = size[..., None, None, :]
             else:
                 size = np.abs(vals)
-            env = (w * size).reshape(size.shape[:-1] + (xs.size, y.size))
-            rows.append(env.sum(axis=-1))
-            cols = cols + env.sum(axis=-2)
-    return (totals, np.concatenate(rows, axis=-1), cols) if marginals else totals
+            env = (w * size).reshape(size.shape[:-1] + (xs.size,) + sizes)
+            sums = [env.sum(axis=tuple(b - dim for b in range(dim) if b != a))
+                    for a in range(dim)]
+            first.append(sums[0])
+            other = [o + s for o, s in zip(other, sums[1:])]
+    return (totals, [np.concatenate(first, axis=-1), *other]) if marginals else totals
 
 
 def _axis_level(node_fn, span, first: int, last: int):
@@ -289,32 +296,65 @@ def _tail_window(mass, limit: float):
     return max(lo - 1, 0), total.size - max(hi - 1, 0), dropped
 
 
-def _refine(sums, level_sum, dim: int, cfg: QuadratureConfig, rule: str,
-            dropped: float = 0.0):
-    """Nested trapezoid refinement over the steps h = _H0 / 2^level.
+def _double_exponential(f, axes, cfg: QuadratureConfig):
+    """Nested double-exponential refinement over the product of ``axes``.
 
-    ``sums`` holds, for each level up to ``_FIRST_STOP``, the sum of w * f
-    over the nodes that level adds: no level before ``_FIRST_STOP`` can end
-    the rule, so one pass covers them all.  ``level_sum(level)`` returns
-    that sum for one later level.  The earlier nodes keep their sum, scaled
-    by 1/2 per axis as h halves.  The error of each entry is its change over
-    the last level plus ``dropped``, the mass of any nodes the later levels
-    leave unrefined, and the rule stops once every entry is within
-    tolerance.
+    Trapezoid sums on the steps h = _H0 / 2^level: each level adds the
+    nodes of its own step, and the earlier nodes keep their sum, scaled by
+    1/2 per axis as h halves.  No level before ``_FIRST_STOP`` can end the
+    rule, so the first pass covers the whole level-``_FIRST_STOP`` product
+    mesh out to each axis' t cap and splits its sum by the level that adds
+    each node.  From the marginals of its node envelope (see
+    ``_block_sum``), kept per point of a Gram stack and per entry
+    otherwise, each axis keeps one t window shared by all of them,
+    dropping the end runs of level-2 nodes whose summed mass stays below
+    ``_TAIL_FRACTION * abs_tol`` (see ``_tail_window``).  Each later level
+    evaluates only the in-window nodes it adds: for each axis in turn, its
+    new nodes against the old nodes of the axes before it and all nodes of
+    the axes after it (in 2-D, new rows against every column, then old
+    rows against the new columns).  The error of each entry is its change
+    over the last level plus the mass the windows drop from its own
+    envelope, that of its point in a Gram stack, and the rule stops once
+    every entry is within tolerance.
     """
+    dim = len(axes)
+    makers = [_axis_node_maker(axis) for axis in axes]
+    mesh = [_axis_level(nodes, (-cap, cap), 0, _FIRST_STOP) for nodes, cap in makers]
+    sums, margins = _block_sum(f, [(x, w) for _, x, w, _ in mesh],
+                               [g for *_, g in mesh], marginals=True)
+    cell = (_H0 / 2 ** _FIRST_STOP) ** dim
+    limit = _TAIL_FRACTION * cfg.abs_tol
+    spans, kept, dropped = [], [], 0.0
+    for (t, x, w, _), mass in zip(mesh, margins):
+        lo, hi, tail = _tail_window(cell * mass, limit)
+        spans.append((t[lo], t[hi - 1]))
+        kept.append((x[lo:hi], w[lo:hi]))  # in-window nodes so far
+        dropped = dropped + tail
+
     h = _H0
     acc = sums[0] * h ** dim
     prev, err = acc, np.inf
     for level in range(1, cfg.max_levels + 1):
         h *= 0.5
-        s = sums[level] if level <= _FIRST_STOP else level_sum(level)
+        if level <= _FIRST_STOP:
+            s = sums[level]
+        else:
+            new = [_axis_level(nodes, span, level, level)[1:3]
+                   for (nodes, _), span in zip(makers, spans)]
+            joined = [(np.concatenate([x0, x]), np.concatenate([w0, w]))
+                      for (x0, w0), (x, w) in zip(kept, new)]
+            s = 0.0
+            for a in range(dim):
+                s = s + _block_sum(f, [*kept[:a], new[a], *joined[a + 1:]])[0]
+            kept = joined
         acc = acc * 0.5 ** dim + s * h ** dim
         err = np.abs(acc - prev) + dropped
         if level >= _FIRST_STOP and np.all(err <= cfg.tolerance(acc)):
             return acc, err
         prev = acc
     raise QuadratureConvergenceError(
-        f"{rule} did not converge in {cfg.max_levels} levels", acc, float(np.max(err)),
+        f"double-exponential rule did not converge in {cfg.max_levels} levels",
+        acc, float(np.max(err)),
     )
 
 
@@ -355,7 +395,7 @@ def _gk_panels(f, a: np.ndarray, b: np.ndarray):
     half = 0.5 * (b - a)
     x = (mid[:, None] + half[:, None] * _XGK[None, :]).ravel()
     out = f(x)
-    vals = _node_values(out, x)
+    vals = _node_values(out, [x])
     if isinstance(out, GramColumns):
         vals = vals.conj()[..., :, None, :] * vals[..., None, :, :]
     vals = vals.reshape(vals.shape[:-1] + (a.size, _XGK.size))
@@ -396,35 +436,24 @@ def _integrate_gk(f, lo: float, hi: float, cfg: QuadratureConfig):
 
 def integrate(f: Callable, domain: Domain, cfg: QuadratureConfig | None = None
               ) -> Tuple[float | complex | np.ndarray, float | np.ndarray]:
-    """Integrate ``f`` over a 1-D domain; returns (value, error estimate).
+    """Integrate ``f`` over a domain; returns (value, error estimate).
 
-    ``f`` maps an array of physical coordinates to real or complex values,
-    or to an array of them (see the module docstring); value and error
-    then come back per entry.  The value is real when ``f`` returns real
-    values and complex when it returns complex ones.  The scheme is
-    picked from the domain: plain finite intervals use adaptive
-    Gauss-Kronrod bisection, anything unbounded or transform-tamed uses
-    the double-exponential rule, which calls ``f`` once per chunk of each
-    level's new nodes.
+    ``f`` takes one array of physical coordinates per axis of the domain,
+    shaped to broadcast against each other (a column of x against a row
+    of y in 2-D), and maps them to real or complex values, or to an array
+    of them (see the module docstring); value and error then come back
+    per entry.  The value is real when ``f`` returns real values and
+    complex when it returns complex ones.  A plain finite 1-D interval
+    uses adaptive Gauss-Kronrod bisection; any other domain the nested
+    double-exponential rule (see ``_double_exponential``).
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    if domain.dim != 1:
-        raise ValueError("integrate expects a 1-D domain; see integrate_2d_product")
     axis = domain.axes[0]
-    if (axis.transform is None and not axis.even_fold
+    if (domain.dim == 1 and axis.transform is None and not axis.even_fold
             and math.isfinite(axis.lo) and math.isfinite(axis.hi)):
         return _integrate_gk(f, axis.lo, axis.hi, cfg)
-    node_fn, t_cap = _axis_node_maker(axis)
-    span = (-t_cap, t_cap)
-    _, x, w, group = _axis_level(node_fn, span, 0, _FIRST_STOP)
-
-    def level_sum(level):
-        _, x, w, _ = _axis_level(node_fn, span, level, level)
-        return _block_sum(f, x, w)[0]
-
-    return _refine(_block_sum(f, x, w, gx=group), level_sum, 1, cfg,
-                   "double-exponential rule")
+    return _double_exponential(f, domain.axes, cfg)
 
 
 def _as_axis(d) -> Axis:
@@ -440,45 +469,6 @@ def _as_axis(d) -> Axis:
 def integrate_2d_product(f: Callable, domain_x, domain_y,
                          cfg: QuadratureConfig | None = None
                          ) -> Tuple[float | complex | np.ndarray, float | np.ndarray]:
-    """Tensor-product integration over two axes; returns (value, error).
-
-    ``f(x, y)`` must broadcast over a column of x values against a row of
-    y values; it may be array-valued, and real or complex, like a 1-D
-    integrand.  Both axes are refined together on nested double-exponential
-    meshes.  The first pass covers the whole level-2 product mesh out to
-    each axis' t cap.  From the row and column sums of its node envelope
-    (see ``_block_sum``), kept per point of a Gram stack and per entry
-    otherwise, each axis keeps one t window shared by all of them,
-    dropping the end runs of level-2 nodes whose summed mass stays below
-    ``_TAIL_FRACTION * abs_tol`` (see ``_tail_window``).  Each later
-    level evaluates only its new rows inside the x window (against every
-    y node in the y window) and its new columns inside the y window
-    (against the x nodes in the x window).  The error of each entry is
-    its change over the last level plus the mass the windows drop from
-    its own envelope, that of its point in a Gram stack.
-    """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    ax, ay = _as_axis(domain_x), _as_axis(domain_y)
-    nodes_x, cap_x = _axis_node_maker(ax)
-    nodes_y, cap_y = _axis_node_maker(ay)
-    tx, x, wx, gx = _axis_level(nodes_x, (-cap_x, cap_x), 0, _FIRST_STOP)
-    ty, y, wy, gy = _axis_level(nodes_y, (-cap_y, cap_y), 0, _FIRST_STOP)
-    sums, rows, cols = _block_sum(f, x, wx, y, wy, gx, gy, marginals=True)
-    h2 = (_H0 / 2 ** _FIRST_STOP) ** 2
-    limit = _TAIL_FRACTION * cfg.abs_tol
-    i0, i1, dropped_x = _tail_window(h2 * rows, limit)
-    j0, j1, dropped_y = _tail_window(h2 * cols, limit)
-    span_x, span_y = (tx[i0], tx[i1 - 1]), (ty[j0], ty[j1 - 1])
-    grid = [x[i0:i1], wx[i0:i1], y[j0:j1], wy[j0:j1]]  # in-window nodes so far
-
-    def level_sum(level):
-        _, x, wx, _ = _axis_level(nodes_x, span_x, level, level)
-        _, y, wy, _ = _axis_level(nodes_y, span_y, level, level)
-        x0, wx0, y0, wy0 = grid
-        y_all, wy_all = np.concatenate([y0, y]), np.concatenate([wy0, wy])
-        total = _block_sum(f, x, wx, y_all, wy_all)[0] + _block_sum(f, x0, wx0, y, wy)[0]
-        grid[:] = [np.concatenate([x0, x]), np.concatenate([wx0, wx]), y_all, wy_all]
-        return total
-
-    return _refine(sums, level_sum, 2, cfg, "product rule", dropped_x + dropped_y)
+    """:func:`integrate` over the product of two axes, each an Axis or a
+    1-D Domain; ``f(x, y)`` must broadcast a column of x against a row of y."""
+    return integrate(f, Domain.product(_as_axis(domain_x), _as_axis(domain_y)), cfg)

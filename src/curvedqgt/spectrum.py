@@ -23,6 +23,7 @@ otherwise the pass is solved by bisection.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -32,7 +33,6 @@ from .core import (
     EigensolveError,
     EngineError,
     LevelCrossingError,
-    LruCache,
     MetricPositivityError,
     WavefunctionFamily,
     as_quantum_number,
@@ -379,9 +379,9 @@ def numerical_wavefunction_family(model: ModelSpec, lam, n_levels: int,
     Solves lazily at every requested parameter point on a frozen grid (the
     one built at the base point), aligns eigenvector signs against the
     base solve so parameter differentiation sees a smooth gauge, and
-    interpolates in the solver coordinate.  Solves are kept in a locked,
-    bounded cache that holds a full finite-difference stencil set, so
-    evaluating every quadrature level reuses them; the base solve is
+    interpolates in the solver coordinate.  Solves are kept in a bounded,
+    thread-safe LRU cache that holds a full finite-difference stencil set,
+    so evaluating every quadrature level reuses them; the base solve is
     pinned.  Accuracy is grid-limited; expect metric components at the
     few-1e-3 level.
     """
@@ -389,7 +389,6 @@ def numerical_wavefunction_family(model: ModelSpec, lam, n_levels: int,
 
     base_lam = param_values(lam)
     grid = make_grid(model, base_lam, n_points, n_max=2 * n_levels + 3)
-    cache = LruCache(_SOLVE_CACHE_SIZE)
 
     def solve_aligned(lamv: np.ndarray, base):
         levels = solve_levels(model, lamv, n_levels + 1, grid=grid)
@@ -410,11 +409,13 @@ def numerical_wavefunction_family(model: ModelSpec, lam, n_levels: int,
     base_key = base_lam.tobytes()
     base_splines = solve_aligned(base_lam, None)
 
+    @functools.lru_cache(maxsize=_SOLVE_CACHE_SIZE)
+    def cached(key: bytes):
+        return solve_aligned(np.frombuffer(key), base_splines)
+
     def solve(lamv: np.ndarray):
         key = lamv.tobytes()
-        if key == base_key:
-            return base_splines
-        return cache.get_or_compute(key, lambda: solve_aligned(lamv, base_splines))
+        return base_splines if key == base_key else cached(key)
 
     # a folded axis grids x >= 0 only, where a state of unit curved norm
     # on the line holds half its norm, so the grid state is rescaled

@@ -7,7 +7,6 @@ from curvedqgt.core import (
     Axis,
     DimensionMismatchError,
     Domain,
-    LruCache,
     MetricFamily,
     MetricPositivityError,
     NormalizationWarning,
@@ -188,26 +187,3 @@ def test_wavefunction_family_fields(anharmonic):
     assert anharmonic.psi.broadcasts
     assert [f.name for f in dataclasses.fields(WavefunctionFamily)] == [
         "dim", "eval", "analytic_param_grad", "broadcasts"]
-
-
-def test_lru_cache_concurrent_counts_and_bound():
-    """Eight threads on a small cache: no lost count, bound kept, values right."""
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
-
-    cache = LruCache(8)
-    keys = [int(k) for k in np.random.default_rng(5).integers(0, 32, size=4000)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(lambda chunk: [cache.get_or_compute(k, lambda k=k: (k, k * k))
-                                                  for k in chunk], keys[i::8])
-                       for i in range(8)]
-            results = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(v == (k, k * k) for i, got in enumerate(results)
-               for k, v in zip(keys[i::8], got))
-    assert cache.hits + cache.misses == len(keys)
-    assert len(cache) <= 8

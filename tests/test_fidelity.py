@@ -109,6 +109,25 @@ def test_step_halving_second_order(anharmonic):
     assert 3.0 < ratio < 5.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_richardson_rows_match_the_scalar_loop(n):
+    """Each row of the array fit is the scalar elimination loop's result
+    for that series, bit for bit; one step has residual 0."""
+    def loop(series, p=2, r=2.0):
+        vals = [float(v) for v in series]
+        for j in range(1, len(vals)):
+            factor = r ** (p * j)
+            for k in range(len(vals) - 1, j - 1, -1):
+                vals[k] = (factor * vals[k] - vals[k - 1]) / (factor - 1.0)
+        return vals[-1], abs(vals[-1] - vals[-2]) if len(vals) >= 2 else 0.0
+
+    rows = np.random.default_rng(n).normal(size=(5, n))
+    value, residual = fid._richardson(rows)
+    assert value.shape == residual.shape == (5,)
+    for row, v, res in zip(rows, value, residual):
+        assert (v, res) == loop(row)
+
+
 def test_residual_error_raised(anharmonic):
     lam = np.array([1.0, 1.0])
     cfg = SusceptibilityConfig(delta_steps=(0.4, 0.2, 0.1),

@@ -83,53 +83,73 @@ def _gauss_overlap(c1, s1, c2, s2):
 _WIDTH = st.floats(-0.5, 0.5).map(lambda e: 10.0 ** e)
 
 
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(widths=st.lists(_WIDTH, min_size=4, max_size=4),
        centres=st.lists(st.floats(-3, 3), min_size=4, max_size=4),
        amp=st.floats(-8, 0).map(lambda e: 10.0 ** e),
        squared=st.booleans())
-def test_2d_gaussian_sums_within_reported_error(widths, centres, amp, squared):
-    """Two Gaussians on the full plane, or two even ones on the squared axes
-    of the quartic models: the reported error bounds the error against the
-    closed form, up to roundoff (1e-14 of the value), which it does not
-    count."""
+def test_gaussian_sums_within_reported_error(dim, widths, centres, amp, squared):
+    """Two Gaussians on the full line or plane, or two even ones on the
+    squared axes of the quartic models: the reported error bounds the error
+    against the closed form, up to roundoff (1e-14 of the value), which it
+    does not count."""
     if squared:
         axis, centres = models._squared_axis(), [0.0] * 4
     else:
-        axis = Domain.full_line()
-    sx1, sy1, sx2, sy2 = widths
-    cx1, cy1, cx2, cy2 = centres
+        axis = Domain.full_line().axes[0]
+    # (centre, width) per axis of each Gaussian
+    first = list(zip(centres[:2], widths[:2]))[:dim]
+    second = list(zip(centres[2:], widths[2:]))[:dim]
 
-    def f(x, y):
-        return (_gauss(x, cx1, sx1) * _gauss(y, cy1, sy1)
-                + amp * _gauss(x, cx2, sx2) * _gauss(y, cy2, sy2))
+    def f(*axes):
+        return (math.prod(_gauss(x, c, s) for x, (c, s) in zip(axes, first))
+                + amp * math.prod(_gauss(x, c, s) for x, (c, s) in zip(axes, second)))
 
-    ref = 2.0 * math.pi * (sx1 * sy1 + amp * sx2 * sy2)
-    val, err = integrate_2d_product(f, axis, axis, CFG)
+    ref = (2.0 * math.pi) ** (dim / 2) * (math.prod(s for _, s in first)
+                                          + amp * math.prod(s for _, s in second))
+    val, err = integrate(f, Domain(dim, (axis,) * dim), CFG)
     assert abs(val - ref) <= err + 1e-14 * ref
 
 
-def test_2d_gram_error_covers_the_dropped_tail():
-    """The third column lives at (3.5, -3.5), far out in the tails of the
-    narrow first two, with a norm below the mass a window may drop; every
-    Gram entry stays within its reported error of the closed form, up to
-    roundoff (1e-14 of sqrt(G_aa G_bb))."""
-    cols = [(1.0, 0.0, 0.3, 0.0, 0.3), (1.0, 0.2, 0.5, -0.1, 0.5),
-            (1e-8, 3.5, 1.0, -3.5, 1.0)]  # amplitude, x centre and width, y centre and width
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_gram_error_covers_the_dropped_tail(dim):
+    """The third column lives at (3.5, -3.5) (3.5 in 1-D), far out in the
+    tails of the narrow first two, with a norm below the mass a window may
+    drop; every Gram entry stays within its reported error of the closed
+    form, up to roundoff (1e-14 of sqrt(G_aa G_bb))."""
+    # amplitude, then (centre, width) per axis
+    cols = [(1.0, [(0.0, 0.3), (0.0, 0.3)]), (1.0, [(0.2, 0.5), (-0.1, 0.5)]),
+            (1e-8, [(3.5, 1.0), (-3.5, 1.0)])]
+    cols = [(a, axes[:dim]) for a, axes in cols]
 
-    def integrand(x, y):
+    def integrand(*axes):
         return np.stack(np.broadcast_arrays(
-            *(a * _gauss(x, cx, sx) * _gauss(y, cy, sy) for a, cx, sx, cy, sy in cols)
-        )).view(GramColumns)
+            *(a * math.prod(_gauss(x, c, s) for x, (c, s) in zip(axes, shape))
+              for a, shape in cols))).view(GramColumns)
 
-    ref = np.array([[a1 * a2 * _gauss_overlap(cx1, sx1, cx2, sx2)
-                     * _gauss_overlap(cy1, sy1, cy2, sy2)
-                     for a2, cx2, sx2, cy2, sy2 in cols]
-                    for a1, cx1, sx1, cy1, sy1 in cols])
-    gram, err = integrate_2d_product(integrand, Domain.full_line(), Domain.full_line(), CFG)
+    ref = np.array([[a1 * a2 * math.prod(_gauss_overlap(c1, s1, c2, s2)
+                                         for (c1, s1), (c2, s2) in zip(shape1, shape2))
+                     for a2, shape2 in cols]
+                    for a1, shape1 in cols])
+    gram, err = integrate(integrand, Domain(dim, Domain.full_line().axes * dim), CFG)
     assert ref[2, 2] < 1e-3 * CFG.abs_tol  # within the mass a window may drop
     scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
     assert np.all(np.abs(gram - ref) <= err + 1e-14 * scale)
+
+
+def test_product_entry_is_the_2d_integrate():
+    """``integrate_2d_product`` over two axes and ``integrate`` over their
+    product domain give the same Gram and errors, bit for bit."""
+    ax, ay = Domain.full_line().axes[0], models._squared_axis()
+
+    def integrand(x, y):
+        g = np.exp(-0.5 * (x * x + y * y))
+        return np.stack(np.broadcast_arrays(g, x * g, (1.0 + 1j * y) * g)).view(GramColumns)
+
+    gram, err = integrate(integrand, Domain.product(ax, ay), CFG)
+    gram_2d, err_2d = integrate_2d_product(integrand, ax, ay, CFG)
+    assert np.array_equal(gram, gram_2d) and np.array_equal(err, err_2d)
 
 
 def test_2d_gram_stack_errors_hold_each_point_own_tail():
@@ -402,16 +422,17 @@ def test_1d_calls_fuse_levels_0_to_2(freq):
 
 
 def _reference_window(mass, limit):
-    """Level-2 nodes [lo, hi) the product rule refines on one axis: a plain
-    scan drops the end runs whose summed mass stays below ``limit``, then
-    takes back the innermost dropped node of each run."""
+    """Level-2 nodes [lo, hi) the rule refines on one axis, and the mass it
+    drops: a plain scan drops the end runs whose summed mass stays below
+    ``limit``, then takes back the innermost dropped node of each run,
+    whose mass still counts as dropped."""
     lo = 0
     while lo < mass.size and mass[:lo + 1].sum() < limit:
         lo += 1
     hi = mass.size
     while hi > lo and mass[hi - 1:].sum() < limit:
         hi -= 1
-    return max(lo - 1, 0), min(hi + 1, mass.size)
+    return max(lo - 1, 0), min(hi + 1, mass.size), mass[:lo].sum() + mass[hi:].sum()
 
 
 def _mesh_index(mesh, x):
@@ -422,79 +443,69 @@ def _mesh_index(mesh, x):
     return i
 
 
-def _product_rule_nodes(f):
-    """Run the full-line product rule on a scalar ``f`` as in ``CFG``.
+def _windowed_rule_nodes(f, dim):
+    """Run the full-line rule in ``dim`` dimensions on a scalar ``f`` as in
+    ``CFG``.
 
-    Returns the evaluated nodes as codes i * n + j of the index pairs (i, j)
-    on the final mesh of n nodes per axis, the codes that the level-2 product
-    mesh plus the product of each axis' window on the final mesh predict,
-    the reference window (lo_x, hi_x, lo_y, hi_y) on the level-2 mesh, n,
-    and the nodes in the largest integrand call.
+    Returns the evaluated nodes as codes of their index tuples on the final
+    mesh of n nodes per axis (i in 1-D, i * n + j in 2-D), the codes that
+    the level-2 mesh plus the product of each axis' window on the final
+    mesh predict, the reference window (lo, hi per axis) on the level-2
+    mesh, n, and the nodes in the largest integrand call.
     """
     seen = []
 
-    def g(x, y):
-        seen.append(np.broadcast_arrays(x, y))
-        return f(x, y)
+    def g(*axes):
+        seen.append(np.broadcast_arrays(*axes))
+        return f(*axes)
 
-    stop = _stop_level(lambda cfg: integrate_2d_product(
-        g, Domain.full_line(), Domain.full_line(), cfg))
+    domain = Domain(dim, Domain.full_line().axes * dim)
+    stop = _stop_level(lambda cfg: integrate(g, domain, cfg))
     seen.clear()
-    integrate_2d_product(g, Domain.full_line(), Domain.full_line(), CFG)
+    integrate(g, domain, CFG)
     mesh = _full_line_rule(stop)[0]
-    got = np.concatenate([_mesh_index(mesh, x.ravel()) * mesh.size
-                          + _mesh_index(mesh, y.ravel()) for x, y in seen])
+    shape = (mesh.size,) * dim
 
+    def codes(*index):
+        return np.ravel_multi_index(np.ix_(*index), shape).ravel()
+
+    got = np.concatenate([np.ravel_multi_index([_mesh_index(mesh, x.ravel()) for x in axes],
+                                               shape) for axes in seen])
     x2, w2 = _full_line_rule(2)
-    envelope = np.abs(f(x2[:, None], x2[None, :])) * np.outer(w2, w2)
+    envelope = np.abs(f(*np.ix_(*[x2] * dim))) * math.prod(np.ix_(*[w2] * dim))
     limit = quadrature._TAIL_FRACTION * CFG.abs_tol
-    window = (*_reference_window(envelope.sum(axis=1), limit),
-              *_reference_window(envelope.sum(axis=0), limit))
+    window = [_reference_window(envelope.sum(axis=tuple(b for b in range(dim) if b != a)),
+                                limit)[:2] for a in range(dim)]
     scale = 2 ** (stop - 2)
-    coarse = np.arange(x2.size) * scale
-    fine_x, fine_y = (np.arange(lo * scale, (hi - 1) * scale + 1)
-                      for lo, hi in (window[:2], window[2:]))
-    want = np.union1d((coarse[:, None] * mesh.size + coarse).ravel(),
-                      (fine_x[:, None] * mesh.size + fine_y).ravel())
-    return got, want, window, mesh.size, max(x.size for x, _ in seen)
+    want = np.union1d(codes(*[np.arange(x2.size) * scale] * dim),
+                      codes(*(np.arange(lo * scale, (hi - 1) * scale + 1) for lo, hi in window)))
+    return got, want, sum(window, ()), mesh.size, max(x.size for x, *_ in seen)
 
 
-def test_levels_nest_without_repeating_nodes():
-    """The evaluated nodes are the final mesh (1-D), or the level-2 product
-    mesh plus the product of the final meshes inside each axis' window
-    (2-D), each node once, in calls of at most ``_CHUNK``."""
-    seen_1d = []
-
-    def f1(x):
-        seen_1d.append(x.copy())
-        return np.exp(-x * x) * np.cos(3.0 * x)
-
-    stop_1d = _stop_level(lambda cfg: integrate(f1, Domain.full_line(), cfg))
-    seen_1d.clear()
-    integrate(f1, Domain.full_line(), CFG)
-
-    nodes = np.concatenate(seen_1d)
-    assert np.unique(nodes).size == nodes.size
-    assert _same_nodes(nodes, _full_line_rule(stop_1d)[0])
-    pairs, want, window, n, largest = _product_rule_nodes(
-        lambda x, y: np.exp(-x * x - y * y) * np.cos(3.0 * x * y))
-    assert np.unique(pairs).size == pairs.size
-    assert np.array_equal(np.sort(pairs), want)
+@pytest.mark.parametrize("dim, f", [
+    (1, lambda x: np.exp(-x * x) * np.cos(3.0 * x)),
+    (2, lambda x, y: np.exp(-x * x - y * y) * np.cos(3.0 * x * y)),
+], ids=["1d", "2d"])
+def test_levels_nest_without_repeating_nodes(dim, f):
+    """The evaluated nodes are the level-2 mesh plus the product of the
+    final meshes inside each axis' window, each node once, in calls of at
+    most ``_CHUNK``."""
+    codes, want, window, n, largest = _windowed_rule_nodes(f, dim)
+    assert np.unique(codes).size == codes.size
+    assert np.array_equal(np.sort(codes), want)
     level2 = _full_line_rule(2)[0].size
     assert window[0] > 0 and window[1] < level2  # the window drops both tails
-    assert pairs.size < n ** 2
-    chunk = quadrature._CHUNK
-    assert max(v.size for v in seen_1d) <= chunk
-    assert largest <= chunk
+    assert codes.size < n ** dim
+    assert largest <= quadrature._CHUNK
 
 
 def test_product_rule_keeps_the_full_mesh_without_decay():
     """(1 + x^2)^-0.6 still carries mass at the t cap, so no window drops a
     node: the product rule evaluates the whole product of its final meshes.
     The narrow Gaussian keeps the rule refining past level 2."""
-    pairs, want, window, n, _ = _product_rule_nodes(
+    pairs, want, window, n, _ = _windowed_rule_nodes(
         lambda x, y: ((1.0 + x * x) * (1.0 + y * y)) ** -0.6
-        + np.exp(-50.0 * (x * x + y * y)))
+        + np.exp(-50.0 * (x * x + y * y)), 2)
     level2 = _full_line_rule(2)[0].size
     assert window == (0, level2, 0, level2)
     assert np.unique(pairs).size == pairs.size == n ** 2
@@ -504,21 +515,29 @@ def test_product_rule_keeps_the_full_mesh_without_decay():
 @pytest.mark.parametrize("cfg", [CFG, QuadratureConfig(rel_tol=0.2, abs_tol=0.05)],
                          ids=["default", "stops-at-2"])
 def test_fused_levels_keep_value_and_error(cfg):
-    """Against plain trapezoid sums T_L on each whole mesh: the rule stops
-    at the first L >= 2 with |T_L - T_(L-1)| within tolerance and returns T_L
-    with that difference as its error, as if every level had its own call."""
+    """Against plain trapezoid sums T_L on each mesh, from level 3 on only
+    inside the reference window and at the level-2 nodes: the rule stops at
+    the first L >= 2 with |T_L - T_(L-1)| plus the dropped tail mass within
+    tolerance and returns T_L with that sum as its error, as if every level
+    had its own call."""
     f = lambda x: np.exp(-x * x) * np.cos(3.0 * x)  # noqa: E731
+    x2, w2 = _full_line_rule(2)
+    lo, hi, dropped = _reference_window(np.abs(w2 * f(x2)),
+                                        quadrature._TAIL_FRACTION * cfg.abs_tol)
     sums = []
     for level in range(cfg.max_levels + 1):
         x, w = _full_line_rule(level)
-        sums.append(np.sum(w * f(x)))
+        index, scale = np.arange(x.size), 2 ** max(level - 2, 0)
+        keep = (level <= 2) | (index % scale == 0) | (
+            (index >= lo * scale) & (index <= (hi - 1) * scale))
+        sums.append(np.sum(w[keep] * f(x[keep])))
     stop = next(level for level in range(2, cfg.max_levels + 1)
-                if abs(sums[level] - sums[level - 1]) <= cfg.tolerance(sums[level]))
+                if abs(sums[level] - sums[level - 1]) + dropped <= cfg.tolerance(sums[level]))
     val, err = integrate(f, Domain.full_line(), cfg)
     assert abs(val - sums[stop]) < 1e-15
-    assert abs(err - abs(sums[stop] - sums[stop - 1])) < 1e-15
+    assert abs(err - (abs(sums[stop] - sums[stop - 1]) + dropped)) < 1e-15
     if cfg is not CFG:
-        assert stop == 2
+        assert stop == 2 and dropped > 0
 
 
 def test_array_nonconvergence_reports_worst_entry():

@@ -270,6 +270,32 @@ def test_numerical_family_solves_once_per_stencil_point(anharmonic, monkeypatch)
     assert len(solves) == len(set(solves)) == 1 + 2 * lam.size
 
 
+def test_numerical_family_solve_cache_is_bounded(anharmonic, monkeypatch):
+    """The family keeps at most ``_SOLVE_CACHE_SIZE`` solves besides the
+    pinned base: after one more distinct point, the least recently used
+    point is solved again, while the most recent one and the base are not."""
+    lam = np.array([1.0, 1.0])
+    solves = []
+    real_solve = sp.solve_levels
+
+    def counted(model, lamv, *args, **kwargs):
+        solves.append(np.asarray(lamv, dtype=float).tobytes())
+        return real_solve(model, lamv, *args, **kwargs)
+
+    monkeypatch.setattr(sp, "solve_levels", counted)
+    fam = sp.numerical_wavefunction_family(anharmonic, lam, 1, n_points=400)
+    x = np.linspace(0.1, 2.0, 8)
+    points = [np.array([0.9 + 0.005 * j, 1.1]) for j in range(sp._SOLVE_CACHE_SIZE + 1)]
+    for p in points:
+        fam.eval(p, (0,), x)
+    assert len(solves) == 1 + len(points)
+    for p in (points[-1], lam):  # cached, and pinned
+        fam.eval(p, (0,), x)
+    assert len(solves) == 1 + len(points)
+    fam.eval(points[0], (0,), x)  # evicted
+    assert len(solves) == 2 + len(points) and solves[-1] == points[0].tobytes()
+
+
 def test_numerical_family_thread_safe(anharmonic):
     """Four threads at shared and distinct points see the serial arrays.
 
